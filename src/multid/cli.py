@@ -20,7 +20,7 @@ from .groebner import GBStats
 from .multiplier import jumping_coefficients, lct, multiplier_ideal
 from .oracles import cross_check, verify_minimality
 from .parsing import parse_polynomial
-from .pipeline import IdealInput, bfunction, clear_caches
+from .pipeline import IdealInput, bfunction
 from .rationals import format_rational, parse_rational
 
 USAGE_ERROR, PARSE_ERROR, COMPUTATION_ERROR = 1, 2, 3
@@ -170,12 +170,9 @@ def main(argv=None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as e:
         return 0 if e.code == 0 else USAGE_ERROR
-    # start each invocation from a cold cache so repeated in-process calls
-    # report the same work in --stats
-    clear_caches()
-    t0 = groebner.GLOBAL_STATS.snapshot()
     try:
-        result, lines = _run(args)
+        with groebner.collect_stats() as stats:
+            result, lines = _run(args)
     except ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return PARSE_ERROR
@@ -188,7 +185,7 @@ def main(argv=None) -> int:
     except (MultidError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return COMPUTATION_ERROR
-    _emit(args, result, lines, groebner.GLOBAL_STATS.since(t0))
+    _emit(args, result, lines, stats)
     return 0
 
 

@@ -37,10 +37,6 @@ class NotAPolynomial(MultidError):
     """Operand contains differential exponents where a polynomial is required."""
 
 
-class InvalidSubsystem(MultidError):
-    """Elimination subsystem violates the weight-vector constraints."""
-
-
 class NoncommutativeContext(MultidError):
     """Operation requires a commutative (differential-free) ambient ring."""
 

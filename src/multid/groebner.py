@@ -15,6 +15,8 @@ from __future__ import annotations
 import heapq
 import os
 import time
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -62,24 +64,22 @@ class GBStats:
             "millis": self.millis,
         }
 
-    def snapshot(self) -> tuple:
-        return (self.spairs, self.pruned_product, self.pruned_chain,
-                self.reductions, self.max_coeff_bits, self.millis)
 
-    def since(self, snap: tuple) -> "GBStats":
-        """Counter deltas accumulated after a snapshot was taken."""
-        return GBStats(
-            spairs=self.spairs - snap[0],
-            pruned_product=self.pruned_product - snap[1],
-            pruned_chain=self.pruned_chain - snap[2],
-            reductions=self.reductions - snap[3],
-            max_coeff_bits=self.max_coeff_bits,
-            millis=self.millis - snap[5],
-        )
+_COLLECTOR: ContextVar[GBStats | None] = ContextVar("gb_collector", default=None)
 
 
-# process-wide accumulation across every Groebner run (CLI stats block)
-GLOBAL_STATS = GBStats()
+@contextmanager
+def collect_stats():
+    """Yields a GBStats totalling the Groebner runs finished in the block.
+
+    When blocks nest, a run is counted by the innermost one only.
+    """
+    total = GBStats()
+    token = _COLLECTOR.set(total)
+    try:
+        yield total
+    finally:
+        _COLLECTOR.reset(token)
 
 
 class TermOrder:
@@ -107,14 +107,6 @@ class TermOrder:
     @staticmethod
     def grevlex(sig: Signature) -> "TermOrder":
         return TermOrder(sig)
-
-    @staticmethod
-    def eliminating(sig: Signature, eliminate_names) -> "TermOrder":
-        """Weight 1 on the named slots, 0 elsewhere."""
-        w = [0] * sig.nslots
-        for name in eliminate_names:
-            w[sig.slot_of(name)] = 1
-        return TermOrder(sig, w)
 
     def key(self, exp: tuple) -> tuple:
         k = self._cache.get(exp)
@@ -370,16 +362,15 @@ def buchberger_ipolys(
     sig: Signature,
     gens: list,
     order: TermOrder,
-    stats: GBStats | None = None,
-    use_product_criterion: bool = True,
 ) -> tuple[list, GBStats]:
     """Buchberger with normal selection, chain and product criteria.
 
     Input and output are integer term lists; the output is the unique
     reduced basis (primitive integer form, positive leading coefficients,
-    sorted ascending by leading exponent).
+    sorted ascending by leading exponent).  The run's GBStats come back
+    with it and are added to the enclosing `collect_stats` block, if any.
     """
-    stats = stats if stats is not None else GBStats()
+    stats = GBStats()
     deadline = _Deadline()
     t0 = time.monotonic()
     key = order.key
@@ -392,7 +383,7 @@ def buchberger_ipolys(
 
     def push_pair(i: int, j: int):
         li, lj = leads[i], leads[j]
-        if use_product_criterion and _merged_coprime(sig, li, lj):
+        if _merged_coprime(sig, li, lj):
             stats.pruned_product += 1
             return
         lcm = _lcm_exp(li, lj)
@@ -448,7 +439,9 @@ def buchberger_ipolys(
 
     reduced = interreduce(sig, G, order, stats, deadline)
     stats.millis += int((time.monotonic() - t0) * 1000)
-    GLOBAL_STATS.merge(stats)
+    total = _COLLECTOR.get()
+    if total is not None:
+        total.merge(stats)
     return reduced, stats
 
 
@@ -523,7 +516,7 @@ def spairs_reduce_to_zero(sig: Signature, G: list, order: TermOrder) -> bool:
 class LeftIdeal:
     """A left ideal of the Weyl algebra with cached reduced Groebner bases."""
 
-    def __init__(self, sig: Signature, generators, verify: bool = False):
+    def __init__(self, sig: Signature, generators):
         self.sig = sig
         gens = []
         for g in generators:
@@ -532,13 +525,8 @@ class LeftIdeal:
             if not g.is_zero():
                 gens.append(g)
         self.generators = tuple(gens)
-        self.verify = verify
         self._cache: dict = {}
         self.last_stats: GBStats | None = None
-
-    @staticmethod
-    def of(sig: Signature, *gens) -> "LeftIdeal":
-        return LeftIdeal(sig, gens)
 
     def is_zero_ideal(self) -> bool:
         return not self.generators
@@ -550,8 +538,6 @@ class LeftIdeal:
             return got
         gens = [to_ipoly(g, order) for g in self.generators]
         basis, stats = buchberger_ipolys(self.sig, gens, order)
-        if self.verify and not spairs_reduce_to_zero(self.sig, basis, order):
-            raise AssertionError("computed basis fails the S-pair test")
         self.last_stats = stats
         self._cache[token] = basis
         return basis
@@ -589,10 +575,6 @@ def normal_form(
     # to_ipoly rescaled P to a primitive representative; undo that.
     factor = P.terms[iP[0][0]] / iP[0][1]
     return WeylElement(sig, {e: c * factor for e, c in nf})
-
-
-def buchberger(I: LeftIdeal, order: TermOrder) -> list[WeylElement]:
-    return I.groebner(order)
 
 
 def reduced_gb(G: list[WeylElement], order: TermOrder) -> list[WeylElement]:

@@ -8,11 +8,17 @@ Two routes to b_{a,g}(s):
   take the initial ideal under the V-filtration weight, then eliminate.
 
 Both return the monic generator fully factored over Q.
+
+Stage results (I_{f,1}, J_f(m), I_{(f;g),2} and the `bfunction` /
+`bfunction_level` outputs) are memoised on the caller's `IdealInput`,
+shared with the inputs derived from it by `with_g` / `with_m` and freed
+with it.  `bfunction_alg2` is never memoised, so the cross-check stays
+independent of the first route.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -61,6 +67,8 @@ class IdealInput:
     f: tuple[WeylElement, ...]
     g: WeylElement = None
     m: int = 1
+    # stage results, shared by every input derived with with_g / with_m
+    memo: dict = field(init=False, compare=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         if not self.variables:
@@ -104,13 +112,25 @@ class IdealInput:
         return Signature(xvars=self.variables, tvars=_t_names(self.r))
 
     def with_g(self, g: WeylElement) -> "IdealInput":
-        return IdealInput(self.variables, self.f, g, self.m)
+        return self._derive(g=g)
 
     def with_m(self, m: int) -> "IdealInput":
-        return IdealInput(self.variables, self.f, self.g, m)
+        return self._derive(m=m)
 
-    def cache_key(self) -> tuple:
-        return (self.variables, self.f)
+    def _derive(self, **changes) -> "IdealInput":
+        out = replace(self, **changes)
+        object.__setattr__(out, "memo", self.memo)
+        return out
+
+    def memoized(self, key: tuple, build):
+        """build(), computed once per key for this input and its derivations.
+
+        Inputs sharing a memo differ only in g and m, so a key names the
+        stage and whichever of g and m the stage reads.
+        """
+        if key not in self.memo:
+            self.memo[key] = build()
+        return self.memo[key]
 
 
 def _diff(p: WeylElement, var: str) -> WeylElement:
@@ -160,21 +180,15 @@ def build_If(input: IdealInput) -> LeftIdeal:
     return LeftIdeal(sig, gens)
 
 
-_IF1_CACHE: dict = {}
-
-
 def compute_If1(input: IdealInput) -> LeftIdeal:
-    """I_{f,1} = I_f cap D_Y = (Ann prod f_i^{s_i})^*, cached per f."""
-    key = input.cache_key()
-    got = _IF1_CACHE.get(key)
-    if got is not None:
-        return got
-    If = build_If(input)
-    sig = input.weyl_sig()
-    K = eliminate(If, set(sig.slot_names))
-    out = LeftIdeal(sig, [g.project(sig) for g in K.generators])
-    _IF1_CACHE[key] = out
-    return out
+    """I_{f,1} = I_f cap D_Y = (Ann prod f_i^{s_i})^*, memoised per f."""
+
+    def build():
+        sig = input.weyl_sig()
+        K = eliminate(build_If(input), set(sig.slot_names))
+        return LeftIdeal(sig, [g.project(sig) for g in K.generators])
+
+    return input.memoized(("If1",), build)
 
 
 def ideal_power_products(input: IdealInput, m: int) -> list[WeylElement]:
@@ -188,26 +202,20 @@ def ideal_power_products(input: IdealInput, m: int) -> list[WeylElement]:
     return out
 
 
-_JFM_CACHE: dict = {}
-
-
 def build_Jf_m(input: IdealInput) -> LeftIdeal:
     """J_f(m) = D_Y[s](I_{f,1} + a^m + <s - sigma>) cap C[x,s]."""
-    key = input.cache_key() + (input.m,)
-    got = _JFM_CACHE.get(key)
-    if got is not None:
-        return got
-    sig = input.weyl_sig()
-    big = sig.with_central(S_NAME)
-    gens = [g.lift(big) for g in compute_If1(input).generators]
-    gens += [p.lift(big) for p in ideal_power_products(input, input.m)]
-    gens.append(WeylElement.generator(big, S_NAME) - build_sigma(big))
-    keep = set(input.variables) | {S_NAME}
-    K = eliminate(LeftIdeal(big, gens), keep)
-    small = polynomial_ring_s(input.variables)
-    out = LeftIdeal(small, [g.project(small) for g in K.generators])
-    _JFM_CACHE[key] = out
-    return out
+
+    def build():
+        big = input.weyl_sig().with_central(S_NAME)
+        gens = [g.lift(big) for g in compute_If1(input).generators]
+        gens += [p.lift(big) for p in ideal_power_products(input, input.m)]
+        gens.append(WeylElement.generator(big, S_NAME) - build_sigma(big))
+        keep = set(input.variables) | {S_NAME}
+        K = eliminate(LeftIdeal(big, gens), keep)
+        small = polynomial_ring_s(input.variables)
+        return LeftIdeal(small, [g.project(small) for g in K.generators])
+
+    return input.memoized(("Jfm", input.m), build)
 
 
 def _principal_s_generator(I: LeftIdeal, variables) -> UPoly:
@@ -236,27 +244,21 @@ def _b_from_s_ideal(I: LeftIdeal, input: IdealInput) -> FactoredBPoly:
     return rational_roots(p)
 
 
-_I2_CACHE: dict = {}
-
-
 def _build_I2(input: IdealInput) -> LeftIdeal:
     """I_{(f;g),2} = D_Y[s](I_{f,1} + g a + <s - sigma>) cap C[x,s]."""
-    key = input.cache_key() + (input.g,)
-    got = _I2_CACHE.get(key)
-    if got is not None:
-        return got
-    sig = input.weyl_sig()
-    big = sig.with_central(S_NAME)
-    g = input.g.lift(big)
-    gens = [h.lift(big) for h in compute_If1(input).generators]
-    gens += [g * fi.lift(big) for fi in input.f]
-    gens.append(WeylElement.generator(big, S_NAME) - build_sigma(big))
-    keep = set(input.variables) | {S_NAME}
-    K = eliminate(LeftIdeal(big, gens), keep)
-    small = polynomial_ring_s(input.variables)
-    out = LeftIdeal(small, [h.project(small) for h in K.generators])
-    _I2_CACHE[key] = out
-    return out
+
+    def build():
+        big = input.weyl_sig().with_central(S_NAME)
+        g = input.g.lift(big)
+        gens = [h.lift(big) for h in compute_If1(input).generators]
+        gens += [g * fi.lift(big) for fi in input.f]
+        gens.append(WeylElement.generator(big, S_NAME) - build_sigma(big))
+        keep = set(input.variables) | {S_NAME}
+        K = eliminate(LeftIdeal(big, gens), keep)
+        small = polynomial_ring_s(input.variables)
+        return LeftIdeal(small, [h.project(small) for h in K.generators])
+
+    return input.memoized(("I2", input.g), build)
 
 
 def bfunction(input: IdealInput) -> FactoredBPoly:
@@ -268,23 +270,29 @@ def bfunction(input: IdealInput) -> FactoredBPoly:
     (J_f(m) : g) cap C[s].  The two notions agree when g = 1.
     """
     if input.m == 1 and not input.g.is_constant():
-        I2 = _build_I2(input)
-        g = input.g.lift(polynomial_ring_s(input.variables))
-        return _b_from_s_ideal(colon(I2, g), input)
+
+        def build():
+            g = input.g.lift(polynomial_ring_s(input.variables))
+            return _b_from_s_ideal(colon(_build_I2(input), g), input)
+
+        return input.memoized(("bfunction", input.g, 1), build)
     return bfunction_level(input)
 
 
 def bfunction_level(input: IdealInput) -> FactoredBPoly:
     """b^{(m)}_{a,g}(s): monic generator of (J_f(m) : g) cap C[s].
 
-    Unlike `bfunction` with m = 1, this variant reuses one cached J_f(m)
+    Unlike `bfunction` with m = 1, this variant reuses one memoised J_f(m)
     for every g, which is what the membership and filtration queries need;
     its root set within [lct, lct + m) carries the multiplier-ideal data.
     """
-    J = build_Jf_m(input)
-    g = input.g.lift(polynomial_ring_s(input.variables))
-    Q = J if g.is_constant() else colon(J, g)
-    return _b_from_s_ideal(Q, input)
+
+    def build():
+        J = build_Jf_m(input)
+        g = input.g.lift(polynomial_ring_s(input.variables))
+        return _b_from_s_ideal(J if g.is_constant() else colon(J, g), input)
+
+    return input.memoized(("bfunction_level", input.g, input.m), build)
 
 
 def bfunction_alg2(input: IdealInput) -> FactoredBPoly:
@@ -317,9 +325,3 @@ def bfunction_alg2(input: IdealInput) -> FactoredBPoly:
         gs = input.g.lift(small)
         I3 = LeftIdeal(small, [exact_divide(h, gs) for h in I2.generators])
     return _b_from_s_ideal(I3, input)
-
-
-def clear_caches():
-    _IF1_CACHE.clear()
-    _JFM_CACHE.clear()
-    _I2_CACHE.clear()

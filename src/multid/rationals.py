@@ -132,9 +132,6 @@ class UPoly:
             acc = acc * x + c
         return acc
 
-    def derivative(self) -> "UPoly":
-        return UPoly([i * c for i, c in enumerate(self.coeffs)][1:])
-
     def __repr__(self) -> str:
         return f"UPoly({format_upoly(self)})"
 

@@ -61,14 +61,8 @@ class Signature:
         except ValueError:
             raise KeyError(f"no variable named {name!r}") from None
 
-    def x_slot(self, i: int) -> int:
-        return i
-
     def t_slot(self, i: int) -> int:
         return self.n + i
-
-    def dx_slot(self, i: int) -> int:
-        return self.n + self.r + i
 
     def dt_slot(self, i: int) -> int:
         return 2 * self.n + self.r + i
@@ -485,10 +479,6 @@ class WeylElement:
         return format_element(self)
 
 
-def normal_multiply(p: WeylElement, q: WeylElement) -> WeylElement:
-    return p * q
-
-
 def build_sigma(sig: Signature) -> WeylElement:
     """sigma = -(sum_i Dt_i t_i) = -sum_i t_i Dt_i - r, in normal order."""
     if sig.r < 1:
@@ -502,16 +492,11 @@ def build_sigma(sig: Signature) -> WeylElement:
     return WeylElement(sig, terms)
 
 
-def _display_names(sig: Signature) -> tuple[str, ...]:
-    """Slot names for printing: Dx/Dt without index when unambiguous."""
-    return sig.slot_names
-
-
 def format_element(p: WeylElement, order_key=None) -> str:
     """Canonical text form, terms sorted descending by the active order."""
     if p.is_zero():
         return "0"
-    names = _display_names(p.sig)
+    names = p.sig.slot_names
     if order_key is None:
         order_key = lambda e: (sum(e), e)
     parts = []

@@ -96,6 +96,25 @@ def test_stats_flag_in_text_mode(capsys):
     assert "stats: spairs=" in out
 
 
+def test_stats_count_one_invocation(capsys):
+    args = ("lct", "--vars", "x", "--ideal", "x", "--format", "json")
+    proc = subprocess.run(
+        [sys.executable, "-m", "multid.cli", *args],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0
+    alone = json.loads(proc.stdout)["stats"]
+    run_cli(capsys, "bfunction", "--vars", "x,y", "--ideal", "x^2,y^3")
+    _, out, _ = run_cli(capsys, *args)
+    after = json.loads(out)["stats"]
+    # work done by an earlier invocation in the same process is not counted
+    alone.pop("millis")
+    after.pop("millis")
+    assert after == alone
+
+
 def test_usage_error_exit_code(capsys):
     assert main(["bfunction", "--vars", "x,y"]) == 1
     capsys.readouterr()

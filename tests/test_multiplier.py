@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from multid import pipeline
 from multid.errors import UnitIdeal
 from multid.groebner import LeftIdeal, ideal_equal, member
 from multid.multiplier import (
@@ -11,6 +12,7 @@ from multid.multiplier import (
     multiplier_ideal,
     multiplier_ideal_ideal,
 )
+from multid.oracles import cross_check
 from multid.parsing import parse_polynomial
 
 from conftest import make_input
@@ -66,6 +68,25 @@ def test_jumps_cusp(cusp):
     )
     assert gens_match(filt.ideal_at(Fraction(5, 6)), ("x", "y"), "x", "y")
     assert gens_match(filt.ideal_at(Fraction(1)), ("x", "y"), "x^2+y^3")
+
+
+def test_jumps_extract_each_bfunction_once(monkeypatch):
+    calls = []
+    real = pipeline.rational_roots
+
+    def counting(p):
+        calls.append(p)
+        return real(p)
+
+    monkeypatch.setattr(pipeline, "rational_roots", counting)
+    cusp = make_input(("x", "y"), ("x^2+y^3",))
+    jumping_coefficients(cusp, Fraction(2))
+    # lct, the candidate scan and every direct multiplier ideal read the
+    # same level-1 b-function, memoised on the input
+    assert len(calls) == 1
+    # the algorithm-2 route is never memoised, so this still compares two
+    # independent computations
+    assert cross_check(cusp)
 
 
 def test_filtration_step_lookup(cusp):

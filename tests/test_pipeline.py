@@ -1,3 +1,5 @@
+import gc
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -153,6 +155,14 @@ def test_Jf1_smooth_contains_functional_equation_witness():
     sig = J.sig
     x, s = gen(sig, "x"), gen(sig, "s")
     assert member(x * (s + WeylElement.one(sig)), J)
+
+
+def test_stage_results_are_freed_with_the_input():
+    inp = make_input(("x",), ("x",))
+    ref = weakref.ref(build_Jf_m(inp))
+    del inp
+    gc.collect()
+    assert ref() is None
 
 
 # -- b-functions -------------------------------------------------------------------
