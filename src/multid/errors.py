@@ -5,10 +5,6 @@ class MultidError(Exception):
     """Base class for all package errors."""
 
 
-class NonExactDivision(MultidError):
-    """Polynomial division left a nonzero remainder."""
-
-
 class IrrationalResidue(MultidError):
     """A b-function candidate did not split into rational linear factors.
 

@@ -65,21 +65,37 @@ class GBStats:
         }
 
 
-_COLLECTOR: ContextVar[GBStats | None] = ContextVar("gb_collector", default=None)
+# (stats total, monotonic deadline or None) of the innermost open block
+_REQUEST: ContextVar[tuple[GBStats, float | None] | None] = ContextVar(
+    "gb_request", default=None
+)
 
 
 @contextmanager
 def collect_stats():
     """Yields a GBStats totalling the Groebner runs finished in the block.
 
-    When blocks nest, a run is counted by the innermost one only.
+    The block is one request: the MULTID_TIME_LIMIT_MS budget is read when
+    it opens and covers every run inside it.  When blocks nest, the
+    innermost one counts a run and sets its budget.
     """
     total = GBStats()
-    token = _COLLECTOR.set(total)
+    ms = os.environ.get(TIME_LIMIT_ENV)
+    deadline = time.monotonic() + int(ms) / 1000.0 if ms else None
+    token = _REQUEST.set((total, deadline))
     try:
         yield total
     finally:
-        _COLLECTOR.reset(token)
+        _REQUEST.reset(token)
+
+
+def _check_deadline():
+    request = _REQUEST.get()
+    deadline = request[1] if request is not None else None
+    if deadline is not None and time.monotonic() > deadline:
+        raise ComputationTimeout(
+            f"computation exceeded the {TIME_LIMIT_ENV} wall-time cap"
+        )
 
 
 class TermOrder:
@@ -119,9 +135,6 @@ class TermOrder:
             k = (wt, sum(exp), tuple(-e for e in reversed(exp)))
             self._cache[exp] = k
         return k
-
-    def cache_token(self) -> tuple:
-        return self.weights
 
 
 # ---------------------------------------------------------------------------
@@ -202,20 +215,6 @@ def _mono_mul(sig: Signature, mexp: tuple, terms: list) -> dict:
     return out
 
 
-class _Deadline:
-    __slots__ = ("at",)
-
-    def __init__(self):
-        ms = os.environ.get(TIME_LIMIT_ENV)
-        self.at = time.monotonic() + int(ms) / 1000.0 if ms else None
-
-    def check(self):
-        if self.at is not None and time.monotonic() > self.at:
-            raise ComputationTimeout(
-                f"Groebner basis run exceeded {TIME_LIMIT_ENV} wall-time cap"
-            )
-
-
 def _reduce_full(
     sig: Signature,
     terms,
@@ -223,7 +222,6 @@ def _reduce_full(
     leads: list,
     order: TermOrder,
     stats: GBStats,
-    deadline: _Deadline | None = None,
     exact: bool = False,
     lead_masks: list | None = None,
     divcache: dict | None = None,
@@ -288,8 +286,8 @@ def _reduce_full(
             continue
         stats.reductions += 1
         steps += 1
-        if deadline is not None and steps % 64 == 0:
-            deadline.check()
+        if steps % 64 == 0:
+            _check_deadline()
         g = G[hit]
         le, lc = g[0]
         d = gcd(c, lc)
@@ -368,10 +366,18 @@ def buchberger_ipolys(
     Input and output are integer term lists; the output is the unique
     reduced basis (primitive integer form, positive leading coefficients,
     sorted ascending by leading exponent).  The run's GBStats come back
-    with it and are added to the enclosing `collect_stats` block, if any.
+    with it and are added to the enclosing `collect_stats` block; a run
+    outside any block is its own block, with its own time budget.
     """
+    if _REQUEST.get() is None:
+        with collect_stats():
+            return _buchberger(sig, gens, order)
+    return _buchberger(sig, gens, order)
+
+
+def _buchberger(sig: Signature, gens: list, order: TermOrder) -> tuple:
+    _check_deadline()
     stats = GBStats()
-    deadline = _Deadline()
     t0 = time.monotonic()
     key = order.key
     G: list = []
@@ -400,7 +406,7 @@ def buchberger_ipolys(
 
     for ip in sorted((g for g in gens if g), key=lambda g: key(g[0][0])):
         nf = _reduce_full(
-            sig, ip, G, leads, order, stats, deadline,
+            sig, ip, G, leads, order, stats,
             lead_masks=lead_masks, divcache=divcache,
         )
         if nf:
@@ -428,20 +434,18 @@ def buchberger_ipolys(
             stats.pruned_chain += 1
             continue
         stats.spairs += 1
-        deadline.check()
+        _check_deadline()
         sp = _spair(sig, G[i], G[j], lcm)
         nf = _reduce_full(
-            sig, sp, G, leads, order, stats, deadline,
+            sig, sp, G, leads, order, stats,
             lead_masks=lead_masks, divcache=divcache,
         )
         if nf:
             add_element(nf)
 
-    reduced = interreduce(sig, G, order, stats, deadline)
+    reduced = interreduce(sig, G, order, stats)
     stats.millis += int((time.monotonic() - t0) * 1000)
-    total = _COLLECTOR.get()
-    if total is not None:
-        total.merge(stats)
+    _REQUEST.get()[0].merge(stats)
     return reduced, stats
 
 
@@ -466,7 +470,6 @@ def interreduce(
     G: list,
     order: TermOrder,
     stats: GBStats | None = None,
-    deadline: _Deadline | None = None,
 ) -> list:
     """Auto-reduce a Groebner basis to its unique primitive reduced form."""
     stats = stats if stats is not None else GBStats()
@@ -484,7 +487,7 @@ def interreduce(
     for i, g in enumerate(minimal):
         others = minimal[:i] + minimal[i + 1 :]
         leads = [h[0][0] for h in others]
-        nf = _reduce_full(sig, g, others, leads, order, stats, deadline)
+        nf = _reduce_full(sig, g, others, leads, order, stats)
         if nf:
             out.append(nf)
     out.sort(key=lambda g: order_key(g[0][0]))
@@ -526,20 +529,17 @@ class LeftIdeal:
                 gens.append(g)
         self.generators = tuple(gens)
         self._cache: dict = {}
-        self.last_stats: GBStats | None = None
 
     def is_zero_ideal(self) -> bool:
         return not self.generators
 
     def groebner_ipolys(self, order: TermOrder) -> list:
-        token = order.cache_token()
-        got = self._cache.get(token)
+        got = self._cache.get(order.weights)
         if got is not None:
             return got
         gens = [to_ipoly(g, order) for g in self.generators]
-        basis, stats = buchberger_ipolys(self.sig, gens, order)
-        self.last_stats = stats
-        self._cache[token] = basis
+        basis, _ = buchberger_ipolys(self.sig, gens, order)
+        self._cache[order.weights] = basis
         return basis
 
     def groebner(self, order: TermOrder | None = None) -> list[WeylElement]:
@@ -595,19 +595,20 @@ def _fresh_name(sig: Signature, base: str) -> str:
     return name
 
 
-def eliminate(I: LeftIdeal, keep) -> LeftIdeal:
-    """Generators of the restriction of I to the subalgebra on `keep` names.
+def eliminate(I: LeftIdeal, target: Signature) -> LeftIdeal:
+    """I cap target: the restriction of I to the subalgebra on target's names.
 
     Realized by a Groebner basis under the weight vector that is 1 on every
-    eliminated slot and 0 on the kept ones.
+    slot absent from target and 0 on the others; its elements free of the
+    eliminated slots are the returned generators, re-expressed in target.
     """
     sig = I.sig
-    keep_slots = {sig.slot_of(n) for n in keep}
-    weights = [0 if i in keep_slots else 1 for i in range(sig.nslots)]
-    order = TermOrder(sig, weights)
-    basis = I.groebner(order)
-    kept = [g for g in basis if g.support_slots() <= keep_slots]
-    return LeftIdeal(sig, kept)
+    keep = {sig.slot_of(n) for n in target.slot_names}
+    order = TermOrder(sig, [0 if i in keep else 1 for i in range(sig.nslots)])
+    return LeftIdeal(
+        target,
+        [g.project(target) for g in I.groebner(order) if g.support_slots() <= keep],
+    )
 
 
 def intersect(I: LeftIdeal, J: LeftIdeal) -> LeftIdeal:
@@ -621,27 +622,7 @@ def intersect(I: LeftIdeal, J: LeftIdeal) -> LeftIdeal:
     one_minus_u = WeylElement.one(big) - u
     gens = [u * g.lift(big) for g in I.generators]
     gens += [one_minus_u * g.lift(big) for g in J.generators]
-    K = eliminate(LeftIdeal(big, gens), set(sig.slot_names))
-    return LeftIdeal(sig, [g.project(sig) for g in K.generators])
-
-
-def homogeneous_part(I: LeftIdeal, vw: WeightVector) -> LeftIdeal:
-    """The ideal generated by all (v,w)-homogeneous elements of I.
-
-    Computed as <P_i^h, u1*u2 - 1> cap D with homogenizing variable u1.
-    """
-    sig = I.sig
-    u1 = _fresh_name(sig, "u1")
-    u2 = _fresh_name(sig, "u2")
-    big = sig.with_central(u1, u2)
-    big_vw = WeightVector(big, vw.slot_weights + (1, -1))
-    gens = [g.lift(big).homogenize(big_vw, u1) for g in I.generators]
-    gens.append(
-        WeylElement.generator(big, u1) * WeylElement.generator(big, u2)
-        - WeylElement.one(big)
-    )
-    K = eliminate(LeftIdeal(big, gens), set(sig.slot_names))
-    return LeftIdeal(sig, [g.project(sig) for g in K.generators])
+    return eliminate(LeftIdeal(big, gens), sig)
 
 
 def initial_ideal(I: LeftIdeal, vw: WeightVector) -> LeftIdeal:
@@ -665,14 +646,10 @@ def initial_ideal(I: LeftIdeal, vw: WeightVector) -> LeftIdeal:
         WeylElement.generator(big, u1) * WeylElement.generator(big, u2)
         - WeylElement.one(big)
     )
-    keep = set(sig.slot_names) | {u1}
-    K = eliminate(LeftIdeal(big, gens), keep)
-    out = []
-    for g in K.generators:
-        h = g.substitute_central(u1, 0)
-        if not h.is_zero():
-            out.append(h.project(sig))
-    return LeftIdeal(sig, out)
+    K = eliminate(LeftIdeal(big, gens), sig.with_central(u1))
+    return LeftIdeal(
+        sig, [g.substitute_central(u1, 0).project(sig) for g in K.generators]
+    )
 
 
 def _require_commutative(gens, *extra):
@@ -736,8 +713,7 @@ def saturate(I: LeftIdeal, p: WeylElement) -> LeftIdeal:
     y = WeylElement.generator(big, y_name)
     gens = [g.lift(big) for g in I.generators]
     gens.append(y * p.lift(big) - WeylElement.one(big))
-    K = eliminate(LeftIdeal(big, gens), set(sig.slot_names))
-    return LeftIdeal(sig, [g.project(sig) for g in K.generators])
+    return eliminate(LeftIdeal(big, gens), sig)
 
 
 def member(h: WeylElement, I: LeftIdeal, order: TermOrder | None = None) -> bool:

@@ -56,17 +56,15 @@ class MultiplierFiltration:
         return gens
 
 
-def _unit_check(input: IdealInput):
-    psig = input.poly_sig()
-    a = LeftIdeal(psig, input.f)
-    if a.contains(WeylElement.one(psig)):
-        raise UnitIdeal("the ideal contains a unit; lct is undefined")
-
-
 def lct(input: IdealInput) -> Fraction:
-    """The log-canonical threshold: minimal root of b_a(-s)."""
-    _unit_check(input)
+    """The log-canonical threshold: minimal root of b_a(-s).
+
+    b_a = 1 exactly for the unit ideal: for a nonzero proper ideal, -lct(a)
+    is a root of b_a (Budur-Mustata-Saito 2006).
+    """
     b = bfunction(input.with_g(WeylElement.one(input.poly_sig())).with_m(1))
+    if b.is_one():
+        raise UnitIdeal("the ideal contains a unit; lct is undefined")
     return min(-root for root in b.roots)
 
 
@@ -104,9 +102,7 @@ def _multiplier_ideal_direct(input: IdealInput, c: Fraction) -> LeftIdeal:
     big = polynomial_ring_s(input.variables)
     p = _saturation_element(b.roots, c, big)
     sat = J if p.is_constant() else saturate(J, p)
-    K = eliminate(sat, set(input.variables))
-    small = polynomial_ring(input.variables)
-    return LeftIdeal(small, [g.project(small) for g in K.generators])
+    return eliminate(sat, polynomial_ring(input.variables))
 
 
 def multiplier_ideal_ideal(input: IdealInput, c: Fraction) -> LeftIdeal:

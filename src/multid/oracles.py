@@ -20,12 +20,10 @@ from .multiplier import MultiplierFiltration
 from .pipeline import (
     IdealInput,
     S_NAME,
-    _build_I2,
     bfunction,
     bfunction_alg2,
-    build_Jf_m,
+    defining_ideal,
     polynomial_ring,
-    polynomial_ring_s,
 )
 from .rationals import FactoredBPoly, UPoly
 from .weyl import WeylElement
@@ -215,11 +213,8 @@ def verify_minimality(b: FactoredBPoly, input: IdealInput) -> bool:
     removed, multiplied by g, must fail membership in the defining ideal
     of C[x,s] that b was extracted from.
     """
-    if input.m == 1 and not input.g.is_constant():
-        J = _build_I2(input)
-    else:
-        J = build_Jf_m(input)
-    sig = polynomial_ring_s(input.variables)
+    J = defining_ideal(input)
+    sig = J.sig
     g = input.g.lift(sig)
     for root in b.roots:
         dropped = _upoly_to_element(b.drop_one(root).expand(), sig)

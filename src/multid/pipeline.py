@@ -182,13 +182,9 @@ def build_If(input: IdealInput) -> LeftIdeal:
 
 def compute_If1(input: IdealInput) -> LeftIdeal:
     """I_{f,1} = I_f cap D_Y = (Ann prod f_i^{s_i})^*, memoised per f."""
-
-    def build():
-        sig = input.weyl_sig()
-        K = eliminate(build_If(input), set(sig.slot_names))
-        return LeftIdeal(sig, [g.project(sig) for g in K.generators])
-
-    return input.memoized(("If1",), build)
+    return input.memoized(
+        ("If1",), lambda: eliminate(build_If(input), input.weyl_sig())
+    )
 
 
 def ideal_power_products(input: IdealInput, m: int) -> list[WeylElement]:
@@ -202,41 +198,65 @@ def ideal_power_products(input: IdealInput, m: int) -> list[WeylElement]:
     return out
 
 
+def _adjoin_s_and_restrict(input: IdealInput, gens) -> LeftIdeal:
+    """D_Y[s](gens + <s - sigma>) cap C[x,s], for gens in D_Y or C[x]."""
+    big = input.weyl_sig().with_central(S_NAME)
+    lifted = [h.lift(big) for h in gens]
+    lifted.append(WeylElement.generator(big, S_NAME) - build_sigma(big))
+    return eliminate(LeftIdeal(big, lifted), polynomial_ring_s(input.variables))
+
+
 def build_Jf_m(input: IdealInput) -> LeftIdeal:
     """J_f(m) = D_Y[s](I_{f,1} + a^m + <s - sigma>) cap C[x,s]."""
 
     def build():
-        big = input.weyl_sig().with_central(S_NAME)
-        gens = [g.lift(big) for g in compute_If1(input).generators]
-        gens += [p.lift(big) for p in ideal_power_products(input, input.m)]
-        gens.append(WeylElement.generator(big, S_NAME) - build_sigma(big))
-        keep = set(input.variables) | {S_NAME}
-        K = eliminate(LeftIdeal(big, gens), keep)
-        small = polynomial_ring_s(input.variables)
-        return LeftIdeal(small, [g.project(small) for g in K.generators])
+        gens = list(compute_If1(input).generators)
+        return _adjoin_s_and_restrict(
+            input, gens + ideal_power_products(input, input.m)
+        )
 
     return input.memoized(("Jfm", input.m), build)
 
 
-def _principal_s_generator(I: LeftIdeal, variables) -> UPoly:
-    """Monic generator of (I cap C[s]) for an ideal of C[x,s]."""
-    K = eliminate(I, {S_NAME})
-    basis = K.groebner()
-    small = s_ring()
-    polys = [g.project(small) for g in basis if not g.is_zero()]
-    if not polys:
+def _build_I2(input: IdealInput) -> LeftIdeal:
+    """I_{(f;g),2} = D_Y[s](I_{f,1} + g a + <s - sigma>) cap C[x,s]."""
+
+    def build():
+        gens = list(compute_If1(input).generators)
+        return _adjoin_s_and_restrict(input, gens + [input.g * fi for fi in input.f])
+
+    return input.memoized(("I2", input.g), build)
+
+
+def defining_ideal(input: IdealInput) -> LeftIdeal:
+    """The ideal of C[x,s] that `bfunction(input)` is read off.
+
+    I_{(f;g),2} at m = 1 with nonconstant g, giving the classical b_{a,g};
+    J_f(m) otherwise, giving b^{(m)}_{a,g} (for g = 1 the two agree).
+    """
+    if input.m == 1 and not input.g.is_constant():
+        return _build_I2(input)
+    return build_Jf_m(input)
+
+
+def _principal_s_generator(I: LeftIdeal) -> UPoly:
+    """Monic generator of (I cap C[s]) for an ideal of C[x,s].
+
+    The restriction of a reduced elimination basis is a reduced basis of
+    I cap C[s], which in one variable is the monic generator alone.
+    """
+    K = eliminate(I, s_ring())
+    if K.is_zero_ideal():
         return UPoly.zero()
-    # reduced GB of a principal ideal in one variable has a single element
-    p = min(polys, key=lambda q: q.total_degree())
-    deg = p.total_degree()
-    coeffs = [Fraction(0)] * (deg + 1)
+    (p,) = K.generators
+    coeffs = [Fraction(0)] * (p.total_degree() + 1)
     for e, c in p.terms.items():
         coeffs[e[0]] = c
-    return UPoly(tuple(coeffs)).monic()
+    return UPoly(coeffs)
 
 
-def _b_from_s_ideal(I: LeftIdeal, input: IdealInput) -> FactoredBPoly:
-    p = _principal_s_generator(I, input.variables)
+def _b_from_s_ideal(I: LeftIdeal) -> FactoredBPoly:
+    p = _principal_s_generator(I)
     if p.is_zero():
         raise ZeroDivisor("the b-ideal is zero; input is degenerate")
     if p.degree == 0:
@@ -244,21 +264,9 @@ def _b_from_s_ideal(I: LeftIdeal, input: IdealInput) -> FactoredBPoly:
     return rational_roots(p)
 
 
-def _build_I2(input: IdealInput) -> LeftIdeal:
-    """I_{(f;g),2} = D_Y[s](I_{f,1} + g a + <s - sigma>) cap C[x,s]."""
-
-    def build():
-        big = input.weyl_sig().with_central(S_NAME)
-        g = input.g.lift(big)
-        gens = [h.lift(big) for h in compute_If1(input).generators]
-        gens += [g * fi.lift(big) for fi in input.f]
-        gens.append(WeylElement.generator(big, S_NAME) - build_sigma(big))
-        keep = set(input.variables) | {S_NAME}
-        K = eliminate(LeftIdeal(big, gens), keep)
-        small = polynomial_ring_s(input.variables)
-        return LeftIdeal(small, [h.project(small) for h in K.generators])
-
-    return input.memoized(("I2", input.g), build)
+def _b_of_colon(J: LeftIdeal, input: IdealInput) -> FactoredBPoly:
+    """Monic generator of (J : g) cap C[s]."""
+    return _b_from_s_ideal(colon(J, input.g.lift(J.sig)))
 
 
 def bfunction(input: IdealInput) -> FactoredBPoly:
@@ -269,14 +277,10 @@ def bfunction(input: IdealInput) -> FactoredBPoly:
     b_{a,g}; for m > 1 it is b^{(m)}_{a,g}, the generator of
     (J_f(m) : g) cap C[s].  The two notions agree when g = 1.
     """
-    if input.m == 1 and not input.g.is_constant():
-
-        def build():
-            g = input.g.lift(polynomial_ring_s(input.variables))
-            return _b_from_s_ideal(colon(_build_I2(input), g), input)
-
-        return input.memoized(("bfunction", input.g, 1), build)
-    return bfunction_level(input)
+    return input.memoized(
+        ("bfunction", input.g, input.m),
+        lambda: _b_of_colon(defining_ideal(input), input),
+    )
 
 
 def bfunction_level(input: IdealInput) -> FactoredBPoly:
@@ -285,14 +289,14 @@ def bfunction_level(input: IdealInput) -> FactoredBPoly:
     Unlike `bfunction` with m = 1, this variant reuses one memoised J_f(m)
     for every g, which is what the membership and filtration queries need;
     its root set within [lct, lct + m) carries the multiplier-ideal data.
+    For g = 1 it is `bfunction` itself, and shares its memo entry.
     """
-
-    def build():
-        J = build_Jf_m(input)
-        g = input.g.lift(polynomial_ring_s(input.variables))
-        return _b_from_s_ideal(J if g.is_constant() else colon(J, g), input)
-
-    return input.memoized(("bfunction_level", input.g, input.m), build)
+    if input.g.is_constant():
+        return bfunction(input)
+    return input.memoized(
+        ("bfunction_level", input.g, input.m),
+        lambda: _b_of_colon(build_Jf_m(input), input),
+    )
 
 
 def bfunction_alg2(input: IdealInput) -> FactoredBPoly:
@@ -312,16 +316,10 @@ def bfunction_alg2(input: IdealInput) -> FactoredBPoly:
     else:
         I0 = intersect(ann, LeftIdeal(sig, [g]))
     I1 = initial_ideal(I0, WeightVector.v_filtration(sig))
-    big = sig.with_central(S_NAME)
-    gens = [h.lift(big) for h in I1.generators]
-    gens.append(WeylElement.generator(big, S_NAME) - build_sigma(big))
-    keep = set(input.variables) | {S_NAME}
-    K = eliminate(LeftIdeal(big, gens), keep)
-    small = polynomial_ring_s(input.variables)
-    I2 = LeftIdeal(small, [h.project(small) for h in K.generators])
+    I2 = _adjoin_s_and_restrict(input, I1.generators)
     if g.is_constant():
-        I3 = I2
-    else:
-        gs = input.g.lift(small)
-        I3 = LeftIdeal(small, [exact_divide(h, gs) for h in I2.generators])
-    return _b_from_s_ideal(I3, input)
+        return _b_from_s_ideal(I2)
+    gs = input.g.lift(I2.sig)
+    return _b_from_s_ideal(
+        LeftIdeal(I2.sig, [exact_divide(h, gs) for h in I2.generators])
+    )

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import IrrationalResidue, NonExactDivision
+from .errors import IrrationalResidue
 
 Rational = Fraction
 
@@ -62,9 +62,6 @@ class UPoly:
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def leading_coeff(self) -> Fraction:
-        return self.coeffs[-1] if self.coeffs else Fraction(0)
 
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
@@ -134,18 +131,6 @@ class UPoly:
 
     def __repr__(self) -> str:
         return f"UPoly({format_upoly(self)})"
-
-
-def upoly_mul(p: UPoly, q: UPoly) -> UPoly:
-    return p * q
-
-
-def upoly_divide_exact(p: UPoly, q: UPoly) -> UPoly:
-    """p / q, raising NonExactDivision on a nonzero remainder."""
-    quot, rem = p.divmod(q)
-    if not rem.is_zero():
-        raise NonExactDivision(f"{p!r} is not divisible by {q!r}")
-    return quot
 
 
 def format_upoly(p: UPoly, var: str = "s") -> str:

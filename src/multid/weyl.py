@@ -67,9 +67,6 @@ class Signature:
     def dt_slot(self, i: int) -> int:
         return 2 * self.n + self.r + i
 
-    def central_slot(self, i: int) -> int:
-        return 2 * (self.n + self.r) + i
-
     def var_slots(self) -> range:
         return range(self.n + self.r)
 

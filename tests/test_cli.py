@@ -2,9 +2,11 @@ import json
 import os
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 
+from multid import groebner
 from multid.cli import main
 from multid.parsing import parse_polynomial
 
@@ -171,3 +173,25 @@ def test_timeout_exit_code():
     )
     assert proc.returncode == 3
     assert json.loads(proc.stdout)["result"] == "timeout"
+
+
+def test_time_limit_covers_the_whole_invocation(capsys, monkeypatch):
+    # every Groebner run takes 0.4 s on a fake clock: each stays under the
+    # 1 s cap, but a jumps query needs more than two of them
+    clock = [0.0]
+    monkeypatch.setattr(groebner, "time", SimpleNamespace(monotonic=lambda: clock[0]))
+    real = groebner.buchberger_ipolys
+
+    def run(*args):
+        out = real(*args)
+        clock[0] += 0.4
+        return out
+
+    monkeypatch.setattr(groebner, "buchberger_ipolys", run)
+    monkeypatch.setenv("MULTID_TIME_LIMIT_MS", "1000")
+    code, out, _ = run_cli(
+        capsys, "jumps", "--vars", "x,y", "--ideal", "x^2+y^3", "--cmax", "1",
+        "--format", "json",
+    )
+    assert code == 3
+    assert json.loads(out)["result"] == "timeout"

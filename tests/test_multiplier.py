@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from multid import pipeline
+from multid import groebner, pipeline
 from multid.errors import UnitIdeal
 from multid.groebner import LeftIdeal, ideal_equal, member
 from multid.multiplier import (
@@ -32,8 +32,29 @@ def test_lct_monomial_pair(x2y3):
 
 
 def test_lct_unit_ideal():
-    with pytest.raises(UnitIdeal):
-        lct(make_input(("x",), ("x", "x+1")))
+    for variables, polys in (
+        (("x",), ("1",)),
+        (("x",), ("x", "x+1")),
+        (("x",), ("x^2+1", "x")),
+        (("x", "y"), ("x*y-1", "x")),
+    ):
+        with pytest.raises(UnitIdeal):
+            lct(make_input(variables, polys))
+
+
+def test_lct_reads_the_memoised_bfunction(monkeypatch):
+    inp = make_input(("x", "y", "z"), ("x^2+y^2+z^2", "x-1", "y"))
+    assert str(pipeline.bfunction(inp)) == "(s+3)"
+    runs = []
+    real = groebner.buchberger_ipolys
+
+    def counting(*args):
+        runs.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(groebner, "buchberger_ipolys", counting)
+    assert lct(inp) == 3
+    assert runs == []
 
 
 def test_multiplier_ideal_at_zero(cusp):

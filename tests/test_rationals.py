@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from multid.errors import IrrationalResidue, NonExactDivision
+from multid.errors import IrrationalResidue
 from multid.rationals import (
     NEG_INFINITY,
     FactoredBPoly,
@@ -10,8 +10,6 @@ from multid.rationals import (
     format_rational,
     parse_rational,
     rational_roots,
-    upoly_divide_exact,
-    upoly_mul,
 )
 
 
@@ -24,9 +22,9 @@ def test_rational_serialization_roundtrip():
 def test_upoly_mul():
     s_plus_1 = UPoly([1, 1])
     s_minus_1 = UPoly([-1, 1])
-    assert upoly_mul(s_plus_1, s_minus_1) == UPoly([-1, 0, 1])
-    assert upoly_mul(s_plus_1, UPoly.zero()).is_zero()
-    assert upoly_mul(UPoly([3, 2]), UPoly([1, 3])) == UPoly([3, 11, 6])
+    assert s_plus_1 * s_minus_1 == UPoly([-1, 0, 1])
+    assert (s_plus_1 * UPoly.zero()).is_zero()
+    assert UPoly([3, 2]) * UPoly([1, 3]) == UPoly([3, 11, 6])
 
 
 def test_upoly_degree_sentinel():
@@ -38,12 +36,10 @@ def test_upoly_degree_sentinel():
 
 def test_upoly_divide_exact():
     s2_minus_1 = UPoly([-1, 0, 1])
-    assert upoly_divide_exact(s2_minus_1, UPoly([-1, 1])) == UPoly([1, 1])
+    assert s2_minus_1.divmod(UPoly([-1, 1])) == (UPoly([1, 1]), UPoly.zero())
     p = UPoly([3, 11, 6])
-    assert upoly_divide_exact(p, UPoly.one()) == p
-    assert upoly_divide_exact(p, UPoly([3, 2])) == UPoly([1, 3])
-    with pytest.raises(NonExactDivision):
-        upoly_divide_exact(UPoly([1, 1]), UPoly([0, 1]))
+    assert p.divmod(UPoly.one()) == (p, UPoly.zero())
+    assert p.divmod(UPoly([3, 2])) == (UPoly([1, 3]), UPoly.zero())
 
 
 def test_upoly_divmod_identity():

@@ -1,0 +1,19 @@
+"""The README's library example prints what its comments say."""
+
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_library_example(capsys):
+    text = README.read_text(encoding="utf-8")
+    block = re.search(r"## Library\n+```python\n(.*?)```", text, re.S).group(1)
+    expected = [
+        line.split("#", 1)[1].strip()
+        for line in block.splitlines()
+        if line.startswith("print(")
+    ]
+    assert expected
+    exec(compile(block, str(README), "exec"), {})
+    assert capsys.readouterr().out.splitlines() == expected
