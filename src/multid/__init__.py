@@ -28,6 +28,7 @@ from .groebner import (
     normal_form,
     reduced_gb,
     saturate,
+    weight_homogenization,
 )
 from .multiplier import (
     MultiplierFiltration,

@@ -171,13 +171,12 @@ def to_ipoly(p: WeylElement, order: TermOrder) -> list:
     return [(e, terms[e]) for e in exps]
 
 
-def from_ipoly(sig: Signature, terms: list, monic: bool = True) -> WeylElement:
+def from_ipoly(sig: Signature, terms: list) -> WeylElement:
+    """The monic element of a term list sorted descending."""
     if not terms:
         return WeylElement.zero(sig)
     lc = terms[0][1]
-    if monic:
-        return WeylElement(sig, {e: Fraction(c, lc) for e, c in terms})
-    return WeylElement(sig, {e: Fraction(c) for e, c in terms})
+    return WeylElement(sig, {e: Fraction(c, lc) for e, c in terms})
 
 
 def _divides(a: tuple, b: tuple) -> bool:
@@ -625,6 +624,24 @@ def intersect(I: LeftIdeal, J: LeftIdeal) -> LeftIdeal:
     return eliminate(LeftIdeal(big, gens), sig)
 
 
+def weight_homogenization(I: LeftIdeal, vw: WeightVector) -> LeftIdeal:
+    """I's generators homogenized under (v,w) with u1, plus u1*u2 - 1.
+
+    The result lives over I's signature extended by the central u1 (weight
+    1) and u2, its inverse; u1 and u2 are fresh names.
+    """
+    u1 = _fresh_name(I.sig, "u1")
+    u2 = _fresh_name(I.sig, "u2")
+    big = I.sig.with_central(u1, u2)
+    big_vw = WeightVector(big, vw.slot_weights + (1, -1))
+    gens = [g.lift(big).homogenize(big_vw, u1) for g in I.generators]
+    gens.append(
+        WeylElement.generator(big, u1) * WeylElement.generator(big, u2)
+        - WeylElement.one(big)
+    )
+    return LeftIdeal(big, gens)
+
+
 def initial_ideal(I: LeftIdeal, vw: WeightVector) -> LeftIdeal:
     """in_(v,w)(I), the ideal of all initial forms of elements of I.
 
@@ -637,16 +654,9 @@ def initial_ideal(I: LeftIdeal, vw: WeightVector) -> LeftIdeal:
     sig = I.sig
     if I.is_zero_ideal():
         return LeftIdeal(sig, [])
-    u1 = _fresh_name(sig, "u1")
-    u2 = _fresh_name(sig, "u2")
-    big = sig.with_central(u1, u2)
-    big_vw = WeightVector(big, vw.slot_weights + (1, -1))
-    gens = [g.lift(big).homogenize(big_vw, u1) for g in I.generators]
-    gens.append(
-        WeylElement.generator(big, u1) * WeylElement.generator(big, u2)
-        - WeylElement.one(big)
-    )
-    K = eliminate(LeftIdeal(big, gens), sig.with_central(u1))
+    H = weight_homogenization(I, vw)
+    u1 = H.sig.central[-2]  # the fresh u1; u2 comes last
+    K = eliminate(H, sig.with_central(u1))
     return LeftIdeal(
         sig, [g.substitute_central(u1, 0).project(sig) for g in K.generators]
     )

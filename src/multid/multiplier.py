@@ -101,8 +101,7 @@ def _multiplier_ideal_direct(input: IdealInput, c: Fraction) -> LeftIdeal:
     b = bfunction_level(input.with_g(WeylElement.one(input.poly_sig())))
     big = polynomial_ring_s(input.variables)
     p = _saturation_element(b.roots, c, big)
-    sat = J if p.is_constant() else saturate(J, p)
-    return eliminate(sat, polynomial_ring(input.variables))
+    return eliminate(saturate(J, p), polynomial_ring(input.variables))
 
 
 def multiplier_ideal_ideal(input: IdealInput, c: Fraction) -> LeftIdeal:

@@ -30,6 +30,7 @@ from .groebner import (
     exact_divide,
     initial_ideal,
     intersect,
+    weight_homogenization,
 )
 from .rationals import FactoredBPoly, UPoly, rational_roots
 from .weyl import Signature, WeightVector, WeylElement, build_sigma
@@ -159,25 +160,14 @@ def ann_fs_generators(input: IdealInput) -> list[WeylElement]:
 
 
 def build_If(input: IdealInput) -> LeftIdeal:
-    """<t_i u1 - f_i> + <u1 Dx_j + sum (df_i/dx_j) Dt_i> + <u1 u2 - 1>."""
-    sig = input.weyl_sig().with_central("u1", "u2")
-    fs = [fi.lift(sig) for fi in input.f]
-    u1 = WeylElement.generator(sig, "u1")
-    u2 = WeylElement.generator(sig, "u2")
-    gens = []
-    for i, fi in enumerate(fs):
-        gens.append(
-            WeylElement.generator(sig, _t_names(input.r)[i]) * u1 - fi
-        )
-    for xj in input.variables:
-        g = u1 * WeylElement.generator(sig, "D" + xj)
-        for i, fi in enumerate(fs):
-            g = g + _diff(fi, xj) * WeylElement.generator(
-                sig, "D" + _t_names(input.r)[i]
-            )
-        gens.append(g)
-    gens.append(u1 * u2 - WeylElement.one(sig))
-    return LeftIdeal(sig, gens)
+    """<t_i u1 - f_i> + <u1 Dx_j + sum (df_i/dx_j) Dt_i> + <u1 u2 - 1>.
+
+    Ann prod f_i^{s_i}, homogenized under the V-filtration weight.
+    """
+    sig = input.weyl_sig()
+    return weight_homogenization(
+        LeftIdeal(sig, ann_fs_generators(input)), WeightVector.v_filtration(sig)
+    )
 
 
 def compute_If1(input: IdealInput) -> LeftIdeal:

@@ -8,12 +8,11 @@ b-functions are kept fully factored as (root, multiplicity) pairs.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import IrrationalResidue
+from .errors import IrrationalResidue, ParseError
 
 Rational = Fraction
 
@@ -28,7 +27,11 @@ def format_rational(q: Fraction) -> str:
 
 
 def parse_rational(text: str) -> Fraction:
-    return Fraction(text.strip())
+    """Parse a rational such as "5/6"; ParseError if text is not one."""
+    try:
+        return Fraction(text.strip())
+    except (ValueError, ZeroDivisionError) as e:
+        raise ParseError(f"not a rational number: {text!r}") from e
 
 
 class UPoly:
@@ -66,29 +69,8 @@ class UPoly:
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
-    def monic(self) -> "UPoly":
-        if self.is_zero():
-            return self
-        lc = self.coeffs[-1]
-        return UPoly([c / lc for c in self.coeffs])
-
     def __eq__(self, other) -> bool:
         return isinstance(other, UPoly) and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
-    def __add__(self, other: "UPoly") -> "UPoly":
-        a, b = self.coeffs, other.coeffs
-        return UPoly(
-            [x + y for x, y in itertools.zip_longest(a, b, fillvalue=Fraction(0))]
-        )
-
-    def __neg__(self) -> "UPoly":
-        return UPoly([-c for c in self.coeffs])
-
-    def __sub__(self, other: "UPoly") -> "UPoly":
-        return self + (-other)
 
     def __mul__(self, other: "UPoly") -> "UPoly":
         if self.is_zero() or other.is_zero():
@@ -100,34 +82,6 @@ class UPoly:
             for j, b in enumerate(other.coeffs):
                 out[i + j] += a * b
         return UPoly(out)
-
-    def scale(self, c) -> "UPoly":
-        c = Fraction(c)
-        return UPoly([a * c for a in self.coeffs])
-
-    def divmod(self, other: "UPoly") -> tuple["UPoly", "UPoly"]:
-        if other.is_zero():
-            raise ZeroDivisionError("division by the zero polynomial")
-        rem = list(self.coeffs)
-        dq = len(other.coeffs) - 1
-        lc = other.coeffs[-1]
-        quot = [Fraction(0)] * max(len(rem) - dq, 0)
-        while len(rem) - 1 >= dq and rem:
-            k = len(rem) - 1 - dq
-            c = rem[-1] / lc
-            quot[k] = c
-            for j, b in enumerate(other.coeffs):
-                rem[k + j] -= c * b
-            while rem and rem[-1] == 0:
-                rem.pop()
-        return UPoly(quot), UPoly(rem)
-
-    def eval(self, x) -> Fraction:
-        x = Fraction(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
 
     def __repr__(self) -> str:
         return f"UPoly({format_upoly(self)})"
@@ -229,74 +183,90 @@ class FactoredBPoly:
         return "".join(parts)
 
 
-def _int_divisors(n: int) -> list[int]:
-    n = abs(n)
-    if n >= 10**10:
-        # the direct scan is quadratic in the digit count; factor instead
-        # (trailing coefficients met here are products of small root
-        # numerators, so factoring is cheap)
-        from sympy import divisors
+def _divisors(n: int) -> list[int]:
+    """The positive divisors of n != 0, ascending.
 
-        return divisors(n)
-    small, large = [], []
-    for d in range(1, math.isqrt(n) + 1):
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-    return small + large[::-1]
+    Built from a trial-division factorisation that stops once d^2 exceeds
+    the unfactored part (which is then 1 or a prime).  The trailing
+    coefficient of a b-function is a product of small root numerators, so
+    the loop ends early.
+    """
+    n = abs(n)
+    divs = [1]
+    d = 2
+    while d * d <= n:
+        k = 0
+        while n % d == 0:
+            n //= d
+            k += 1
+        if k:
+            divs = [q * d**i for q in divs for i in range(k + 1)]
+        d += 1
+    if n > 1:
+        divs += [q * n for q in divs]
+    return sorted(divs)
+
+
+def _divide_linear(ints: list[int], num: int, den: int) -> list[int] | None:
+    """ints / (den*s - num) over Z, or None if den*s - num does not divide it.
+
+    For a primitive ints and coprime num, den the quotient is integral
+    whenever num/den is a root (Gauss's lemma), so one exact synthetic
+    division both tests the candidate and divides it out.
+    """
+    quot = []
+    acc = 0
+    for c in reversed(ints[1:]):
+        acc, rem = divmod(c + num * acc, den)
+        if rem:
+            return None
+        quot.append(acc)
+    if ints[0] + num * acc:
+        return None
+    return quot[::-1]
 
 
 def rational_roots(p: UPoly) -> FactoredBPoly:
     """Factor a monic polynomial completely into rational linear factors.
 
-    Clears denominators to a primitive integer polynomial and enumerates
+    Clears denominators to a primitive integer polynomial and tries the
     candidates +/-(divisor of trailing coefficient)/(divisor of leading
-    coefficient); multiplicities come from repeated exact division.  Raises
-    IrrationalResidue if a nonconstant factor without rational roots remains.
+    coefficient) by exact integer division, repeated for the multiplicity.
+    Raises IrrationalResidue if a nonconstant factor without rational roots
+    remains.
     """
     if p.is_zero():
         raise ValueError("cannot factor the zero polynomial")
     if not p.is_monic():
         raise ValueError("polynomial must be monic")
-    factors: list[tuple[Fraction, int]] = []
-    cur = p
-    # Strip roots at zero first.
-    zero_mult = 0
-    while not cur.is_zero() and cur.coeffs[0] == 0:
-        cur = UPoly(cur.coeffs[1:])
-        zero_mult += 1
-    if zero_mult:
-        factors.append((Fraction(0), zero_mult))
-    while cur.degree >= 1:
-        den = math.lcm(*(c.denominator for c in cur.coeffs))
-        ints = [int(c * den) for c in cur.coeffs]
-        g = math.gcd(*ints)
-        ints = [c // g for c in ints]
-        lead, trail = ints[-1], ints[0]
-        root = None
-        for num in _int_divisors(trail):
-            for dq in _int_divisors(lead):
-                for cand in (Fraction(num, dq), Fraction(-num, dq)):
-                    if cur.eval(cand) == 0:
-                        root = cand
-                        break
-                if root is not None:
-                    break
-            if root is not None:
+    # the leading coefficient of a monic p is the lcm of the denominators,
+    # so this integer list is already primitive
+    den = math.lcm(*(c.denominator for c in p.coeffs))
+    ints = [int(c * den) for c in p.coeffs]
+    zeros = next(i for i, c in enumerate(ints) if c)
+    ints = ints[zeros:]
+    factors = [(Fraction(0), zeros)] if zeros else []
+    while len(ints) > 1:
+        leads = _divisors(ints[-1])
+        candidates = (
+            (c, d)
+            for n in _divisors(ints[0])
+            for d in leads
+            if math.gcd(n, d) == 1
+            for c in (n, -n)
+        )
+        for num, dq in candidates:
+            quot = _divide_linear(ints, num, dq)
+            if quot is not None:
                 break
-        if root is None:
+        else:
+            residue = UPoly([Fraction(c, ints[-1]) for c in ints])
             raise IrrationalResidue(
-                f"no rational root of residual factor {format_upoly(cur)}"
+                f"no rational root of residual factor {format_upoly(residue)}"
             )
-        lin = UPoly.linear_root(root)
         mult = 0
-        while True:
-            quot, rem = cur.divmod(lin)
-            if not rem.is_zero():
-                break
-            cur = quot
-            mult += 1
-        factors.append((root, mult))
-    factors.sort(key=lambda rm: rm[0])
+        while quot is not None:
+            ints, mult = quot, mult + 1
+            quot = _divide_linear(ints, num, dq)
+        factors.append((Fraction(num, dq), mult))
     return FactoredBPoly(tuple(factors))

@@ -126,20 +126,13 @@ class WeightVector:
         self.slot_weights = slot_weights
 
     @staticmethod
-    def from_parts(sig: Signature, vx=None, vt=None, wx=None, wt=None, wcentral=None):
-        vx = list(vx) if vx is not None else [0] * sig.n
-        vt = list(vt) if vt is not None else [0] * sig.r
-        wx = list(wx) if wx is not None else [0] * sig.n
-        wt = list(wt) if wt is not None else [0] * sig.r
-        wcentral = list(wcentral) if wcentral is not None else [0] * sig.k
-        return WeightVector(sig, vx + vt + wx + wt + wcentral)
-
-    @staticmethod
     def v_filtration(sig: Signature) -> "WeightVector":
         """The distinguished (w,-w): weight -1 on t_j, +1 on Dt_j, 0 elsewhere."""
-        return WeightVector.from_parts(
-            sig, vt=[-1] * sig.r, wt=[1] * sig.r
-        )
+        slots = [0] * sig.nslots
+        for i in range(sig.r):
+            slots[sig.t_slot(i)] = -1
+            slots[sig.dt_slot(i)] = 1
+        return WeightVector(sig, slots)
 
     @staticmethod
     def by_name(sig: Signature, weights: dict[str, int]) -> "WeightVector":
@@ -489,15 +482,13 @@ def build_sigma(sig: Signature) -> WeylElement:
     return WeylElement(sig, terms)
 
 
-def format_element(p: WeylElement, order_key=None) -> str:
-    """Canonical text form, terms sorted descending by the active order."""
+def format_element(p: WeylElement) -> str:
+    """Canonical text form, terms sorted descending by degree, then exponent."""
     if p.is_zero():
         return "0"
     names = p.sig.slot_names
-    if order_key is None:
-        order_key = lambda e: (sum(e), e)
     parts = []
-    for e in sorted(p.terms, key=order_key, reverse=True):
+    for e in sorted(p.terms, key=lambda e: (sum(e), e), reverse=True):
         c = p.terms[e]
         factors = []
         for i, v in enumerate(e):

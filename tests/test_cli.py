@@ -125,9 +125,15 @@ def test_usage_error_exit_code(capsys):
 
 
 def test_parse_error_exit_code(capsys):
-    code, _, err = run_cli(capsys, "bfunction", "--vars", "x,y", "--ideal", "xy")
-    assert code == 2
-    assert "parse error" in err
+    for argv in (
+        ("bfunction", "--vars", "x,y", "--ideal", "xy"),
+        ("multiplier", "--vars", "x", "--ideal", "x", "--c", "1/0"),
+        ("jumps", "--vars", "x", "--ideal", "x", "--cmax", "1/0"),
+        ("multiplier", "--vars", "x", "--ideal", "x", "--c", "abc"),
+    ):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert "parse error" in err, argv
 
 
 def test_computation_error_exit_code(capsys):

@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from multid.groebner import LeftIdeal, TermOrder, normal_form
 from multid.rationals import FactoredBPoly, rational_roots
@@ -123,6 +123,8 @@ mults = st.integers(min_value=1, max_value=3)
     root_lists,
     st.lists(mults, min_size=4, max_size=4),
 ))
+# a trailing coefficient with the prime factor 100003
+@example(FactoredBPoly(((Fraction(-100003, 7), 1), (Fraction(-5, 6), 2))))
 def test_rational_roots_roundtrip(b):
     assert rational_roots(b.expand()) == b
 

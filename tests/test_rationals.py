@@ -1,3 +1,6 @@
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 
 import pytest
@@ -34,28 +37,6 @@ def test_upoly_degree_sentinel():
     assert UPoly([0, 0, 1]).degree == 2
 
 
-def test_upoly_divide_exact():
-    s2_minus_1 = UPoly([-1, 0, 1])
-    assert s2_minus_1.divmod(UPoly([-1, 1])) == (UPoly([1, 1]), UPoly.zero())
-    p = UPoly([3, 11, 6])
-    assert p.divmod(UPoly.one()) == (p, UPoly.zero())
-    assert p.divmod(UPoly([3, 2])) == (UPoly([1, 3]), UPoly.zero())
-
-
-def test_upoly_divmod_identity():
-    p = UPoly([Fraction(1, 2), 3, 0, 7, 1])
-    d = UPoly([1, Fraction(2, 3), 1])
-    q, r = p.divmod(d)
-    assert q * d + r == p
-    assert r.degree < d.degree
-
-
-def test_upoly_eval():
-    p = UPoly([1, 2, 1])  # (s+1)^2
-    assert p.eval(-1) == 0
-    assert p.eval(Fraction(1, 2)) == Fraction(9, 4)
-
-
 def test_rational_roots_linear():
     assert rational_roots(UPoly([1, 1])).factors == ((Fraction(-1), 1),)
 
@@ -84,6 +65,32 @@ def test_rational_roots_at_zero():
     # s^2 (s+1)
     p = UPoly([0, 0, 1, 1])
     assert rational_roots(p).root_multiset() == {Fraction(0): 2, Fraction(-1): 1}
+
+
+def test_rational_roots_large_trailing_coefficient_without_sympy():
+    # t456's b-function: its primitive trailing coefficient is about 1.0e10
+    script = textwrap.dedent(
+        """
+        import sys
+        from fractions import Fraction
+        from multid.rationals import FactoredBPoly, rational_roots
+
+        roots = "17/12 3/2 19/12 7/4 11/6 23/12 2 25/12 13/6 9/4".split()
+        b = FactoredBPoly(tuple((-Fraction(r), 1) for r in roots))
+        got = rational_roots(b.expand())
+        print(got == b, got, "sympy" in sys.modules)
+        """
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [
+        "True",
+        "(s+17/12)(s+3/2)(s+19/12)(s+7/4)(s+11/6)"
+        "(s+23/12)(s+2)(s+25/12)(s+13/6)(s+9/4)",
+        "False",
+    ]
 
 
 def test_rational_roots_irrational_residue():
