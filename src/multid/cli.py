@@ -105,12 +105,14 @@ def _run(args) -> tuple[dict, list[str]]:
     if args.command == "multiplier":
         c = parse_rational(args.c)
         if c < 0:
-            raise ValueError("--c must be nonnegative")
+            raise ParseError("--c must be nonnegative")
         gens = multiplier_ideal(input, c)
         text = [", ".join(str(g) for g in gens)]
         return {"c": format_rational(c), "generators": [str(g) for g in gens]}, text
     if args.command == "jumps":
         cmax = parse_rational(args.cmax)
+        if cmax <= 0:
+            raise ParseError("--cmax must be positive")
         filt = jumping_coefficients(input, cmax)
         lines = [f"lct = {format_rational(filt.lct)}"]
         for c, gens in filt.steps:
@@ -158,10 +160,7 @@ def _emit(args, result: dict, lines: list[str], stats: GBStats) -> None:
             print(line)
         if args.stats:
             d = stats.as_dict()
-            print(
-                f"stats: spairs={d['spairs']} reductions={d['reductions']} "
-                f"max_coeff_bits={d['max_coeff_bits']} millis={d['millis']}"
-            )
+            print("stats: " + " ".join(f"{k}={v}" for k, v in d.items()))
 
 
 def main(argv=None) -> int:

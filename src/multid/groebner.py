@@ -13,6 +13,7 @@ descending; all reduction arithmetic is fraction free.
 from __future__ import annotations
 
 import heapq
+import operator
 import os
 import time
 from contextlib import contextmanager
@@ -27,7 +28,7 @@ from .errors import (
     SignatureMismatch,
     ZeroDivisor,
 )
-from .weyl import Signature, WeightVector, WeylElement, _term_product
+from .weyl import Signature, WeightVector, WeylElement, mono_mul
 
 TIME_LIMIT_ENV = "MULTID_TIME_LIMIT_MS"
 
@@ -59,6 +60,8 @@ class GBStats:
     def as_dict(self) -> dict:
         return {
             "spairs": self.spairs,
+            "pruned_chain": self.pruned_chain,
+            "pruned_product": self.pruned_product,
             "reductions": self.reductions,
             "max_coeff_bits": self.max_coeff_bits,
             "millis": self.millis,
@@ -180,10 +183,7 @@ def from_ipoly(sig: Signature, terms: list) -> WeylElement:
 
 
 def _divides(a: tuple, b: tuple) -> bool:
-    for x, y in zip(a, b):
-        if x > y:
-            return False
-    return True
+    return all(map(operator.le, a, b))
 
 
 def _support_mask(e: tuple) -> int:
@@ -192,26 +192,6 @@ def _support_mask(e: tuple) -> int:
         if v:
             m |= 1 << i
     return m
-
-
-def _mono_mul(sig: Signature, mexp: tuple, terms: list) -> dict:
-    """Normal-order product (monomial) * (term list), as an exp->int dict."""
-    nr = sig.n + sig.r
-    out: dict = {}
-    has_diff = any(mexp[nr + i] for i in range(nr))
-    if not has_diff:
-        for e, c in terms:
-            ne = tuple(a + b for a, b in zip(mexp, e))
-            out[ne] = out.get(ne, 0) + c
-        return out
-    for e, c in terms:
-        for factor, exp in _term_product(sig, mexp, e):
-            nc = out.get(exp, 0) + c * factor
-            if nc:
-                out[exp] = nc
-            else:
-                del out[exp]
-    return out
 
 
 def _reduce_full(
@@ -296,7 +276,7 @@ def _reduce_full(
                 p[k] *= u
             scale *= u
         mexp = tuple(a - b for a, b in zip(e, le))
-        prod = _mono_mul(sig, mexp, g)
+        prod = mono_mul(sig, mexp, g)
         for pe, pc in prod.items():
             if pe == e:
                 continue  # cancelled by construction
@@ -339,16 +319,19 @@ def _reduce_full(
     return [(e, iout[e]) for e in exps]
 
 
-def _merged_coprime(sig: Signature, a: tuple, b: tuple) -> bool:
-    """Coprimality on commutative images (x_i and Dx_i share one slot)."""
+def _product_criterion(sig: Signature, lf: int, sf: int, lg: int, sg: int) -> bool:
+    """True when the S-pair of f and g reduces to zero by the product criterion.
+
+    lf, lg are the support masks of the leads of f and g; sf, sg those of
+    the whole elements.  The commutative argument, S(f, g) = tail(f) g -
+    tail(g) f, needs coprime leads and fg = gf; the latter holds when no
+    differential of one element meets its variable in the other.  Coprime
+    leads alone do not suffice: Dx and t^2 + x have coprime leads, but
+    their S-pair is -(x*Dx + 1), whose normal form is 1.
+    """
     nr = sig.n + sig.r
-    for i in range(nr):
-        if (a[i] or a[nr + i]) and (b[i] or b[nr + i]):
-            return False
-    for i in range(2 * nr, sig.nslots):
-        if a[i] and b[i]:
-            return False
-    return True
+    var_bits = (1 << nr) - 1
+    return not (lf & lg or (sf >> nr) & sg & var_bits or (sg >> nr) & sf & var_bits)
 
 
 def _lcm_exp(a: tuple, b: tuple) -> tuple:
@@ -360,7 +343,7 @@ def buchberger_ipolys(
     gens: list,
     order: TermOrder,
 ) -> tuple[list, GBStats]:
-    """Buchberger with normal selection, chain and product criteria.
+    """Buchberger with normal selection and the Gebauer-Moeller pair update.
 
     Input and output are integer term lists; the output is the unique
     reduced basis (primitive integer form, positive leading coefficients,
@@ -375,6 +358,15 @@ def buchberger_ipolys(
 
 
 def _buchberger(sig: Signature, gens: list, order: TermOrder) -> tuple:
+    """The Buchberger loop behind `buchberger_ipolys`.
+
+    Pairs are pruned once, when an element is added, by the update of
+    Gebauer and Moeller (JSC 6, 1988): criterion B on the open pairs, then
+    criteria M and F on the new ones, with `_product_criterion` in the role
+    of the coprime test.  Only surviving pairs reach the heap, which pops
+    them by lcm (normal selection).  An element whose lead a newer lead
+    divides forms no further pairs but stays a reducer.
+    """
     _check_deadline()
     stats = GBStats()
     t0 = time.monotonic()
@@ -382,26 +374,67 @@ def _buchberger(sig: Signature, gens: list, order: TermOrder) -> tuple:
     G: list = []
     leads: list = []
     lead_masks: list = []
+    supports: list = []  # support masks of the whole elements
     divcache: dict = {}
-    pending: set = set()
-    heap: list = []
-
-    def push_pair(i: int, j: int):
-        li, lj = leads[i], leads[j]
-        if _merged_coprime(sig, li, lj):
-            stats.pruned_product += 1
-            return
-        lcm = _lcm_exp(li, lj)
-        pending.add((i, j))
-        heapq.heappush(heap, (key(lcm), i, j, lcm))
+    active: list = []  # indices of the elements that still form pairs
+    heap: list = []  # (key(lcm), i, j, lcm) of the open pairs
 
     def add_element(ip: list):
-        idx = len(G)
+        h = len(G)
+        lh = ip[0][0]
+        mh = _support_mask(lh)
+        # criterion B: lead(h) divides the lcm of an open pair (i, j) that
+        # differs from the lcms of (i, h) and (j, h)
+        kept = [
+            pair
+            for pair in heap
+            if not (
+                _divides(lh, pair[3])
+                and _lcm_exp(leads[pair[1]], lh) != pair[3]
+                and _lcm_exp(leads[pair[2]], lh) != pair[3]
+            )
+        ]
+        if len(kept) < len(heap):
+            stats.pruned_chain += len(heap) - len(kept)
+            heap[:] = kept
+            heapq.heapify(heap)
+        sh = 0
+        for e, _ in ip:
+            sh |= _support_mask(e)
+        new = [
+            (
+                _lcm_exp(leads[i], lh),
+                i,
+                _product_criterion(sig, lead_masks[i], supports[i], mh, sh),
+            )
+            for i in active
+        ]
+        # criterion M: drop an lcm that another new lcm properly divides;
+        # by ascending degree, only a minimal lcm found so far can
+        minimal: dict = {}
+        for lcm in sorted({lcm for lcm, _, _ in new}, key=sum):
+            m = _support_mask(lcm)
+            if not any(
+                om & ~m == 0 and _divides(o, lcm) for o, om in minimal.items()
+            ):
+                minimal[lcm] = m
+        # criterion F: one pair per lcm, and none for an lcm where one pair
+        # meets the product criterion
+        by_product = {lcm for lcm, _, prod in new if prod}
+        for lcm, i, prod in new:
+            if prod:
+                stats.pruned_product += 1
+            elif lcm in minimal and lcm not in by_product:
+                del minimal[lcm]
+                heapq.heappush(heap, (key(lcm), i, h, lcm))
+            else:
+                stats.pruned_chain += 1
+        active[:] = [i for i in active if not _divides(lh, leads[i])]
+        active.append(h)
         G.append(ip)
-        leads.append(ip[0][0])
-        lead_masks.append(_support_mask(ip[0][0]))
-        for i in range(idx):
-            push_pair(i, idx)
+        leads.append(lh)
+        lead_masks.append(mh)
+        supports.append(sh)
 
     for ip in sorted((g for g in gens if g), key=lambda g: key(g[0][0])):
         nf = _reduce_full(
@@ -413,25 +446,6 @@ def _buchberger(sig: Signature, gens: list, order: TermOrder) -> tuple:
 
     while heap:
         _, i, j, lcm = heapq.heappop(heap)
-        pending.discard((i, j))
-        # chain criterion: some k divides the lcm and both mixed pairs
-        # are already handled
-        skip = False
-        lcm_mask = ~_support_mask(lcm)
-        for k in range(len(G)):
-            if k == i or k == j:
-                continue
-            if lead_masks[k] & lcm_mask:
-                continue
-            if _divides(leads[k], lcm):
-                pik = (min(i, k), max(i, k))
-                pjk = (min(j, k), max(j, k))
-                if pik not in pending and pjk not in pending:
-                    skip = True
-                    break
-        if skip:
-            stats.pruned_chain += 1
-            continue
         stats.spairs += 1
         _check_deadline()
         sp = _spair(sig, G[i], G[j], lcm)
@@ -453,8 +467,8 @@ def _spair(sig: Signature, g1: list, g2: list, lcm: tuple) -> list:
     d = gcd(c1, c2)
     m1 = tuple(a - b for a, b in zip(lcm, e1))
     m2 = tuple(a - b for a, b in zip(lcm, e2))
-    p1 = _mono_mul(sig, m1, g1)
-    p2 = _mono_mul(sig, m2, g2)
+    p1 = mono_mul(sig, m1, g1)
+    p2 = mono_mul(sig, m2, g2)
     u1, u2 = c2 // d, c1 // d
     out = []
     for e, c in p1.items():

@@ -19,6 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
+from operator import add
 
 from .errors import (
     NonGradedWeight,
@@ -161,40 +162,48 @@ class WeightVector:
 
 @lru_cache(maxsize=None)
 def _reorder_coeffs(a: int, b: int) -> tuple[tuple[int, int], ...]:
-    """Coefficients of D^a x^b = sum_k c_k x^(b-k) D^(a-k), as (k, c_k)."""
+    """The (k, c_k), k >= 1, of D^a x^b = x^b D^a + sum_k c_k x^(b-k) D^(a-k)."""
     return tuple(
-        (k, factorial(k) * comb(a, k) * comb(b, k)) for k in range(min(a, b) + 1)
+        (k, factorial(k) * comb(a, k) * comb(b, k)) for k in range(1, min(a, b) + 1)
     )
 
 
-def _term_product(sig: Signature, e1: tuple, e2: tuple):
-    """Exponent-level normal-order product; yields (int_factor, exponent)."""
+def mono_mul(sig: Signature, mexp: tuple, terms) -> dict:
+    """Normal-order product (monomial mexp) * (sum of (exp, coeff) terms).
+
+    Returns an exp -> coeff dict without zero entries.  Only the pairs where
+    a differential of mexp meets the same variable in a term are expanded;
+    every other slot just adds exponents.
+    """
     nr = sig.n + sig.r
-    # Pairs where the left factor's differential meets the right factor's
-    # variable; everything else commutes.
-    clashes = [
-        i for i in range(nr) if e1[nr + i] and e2[i]
-    ]
-    base = tuple(a + b for a, b in zip(e1, e2))
-    if not clashes:
-        yield 1, base
-        return
-    # Expand the per-pair sums as a cartesian product.
-    partial = [(1, base)]
-    for i in clashes:
-        a, b = e1[nr + i], e2[i]
-        nxt = []
-        for coeff, exp in partial:
-            for k, c in _reorder_coeffs(a, b):
-                if k == 0:
-                    nxt.append((coeff, exp))
-                else:
+    diffs = [(i, a) for i, a in enumerate(mexp[nr : 2 * nr]) if a]
+    if not diffs:
+        # distinct exponents stay distinct, so nothing collides or cancels
+        return {tuple(map(add, mexp, e)): c for e, c in terms}
+    out: dict = {}
+    for e, c in terms:
+        exp = tuple(map(add, mexp, e))
+        partial = [(c, exp)]
+        for i, a in diffs:
+            b = e[i]
+            if not b:
+                continue
+            nxt = []
+            for coeff, exp in partial:
+                nxt.append((coeff, exp))
+                for k, ck in _reorder_coeffs(a, b):
                     le = list(exp)
                     le[i] -= k
                     le[nr + i] -= k
-                    nxt.append((coeff * c, tuple(le)))
-        partial = nxt
-    yield from partial
+                    nxt.append((coeff * ck, tuple(le)))
+            partial = nxt
+        for coeff, exp in partial:
+            nc = out.get(exp, 0) + coeff
+            if nc:
+                out[exp] = nc
+            else:
+                del out[exp]
+    return out
 
 
 class WeylElement:
@@ -303,17 +312,15 @@ class WeylElement:
     def __mul__(self, other: "WeylElement") -> "WeylElement":
         self._check(other)
         out: dict = {}
-        sig = self.sig
+        rhs = other.terms.items()
         for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                c = c1 * c2
-                for factor, exp in _term_product(sig, e1, e2):
-                    nc = out.get(exp, 0) + c * factor
-                    if nc:
-                        out[exp] = nc
-                    else:
-                        del out[exp]
-        return WeylElement(sig, out)
+            for exp, c in mono_mul(self.sig, e1, rhs).items():
+                nc = out.get(exp, 0) + c1 * c
+                if nc:
+                    out[exp] = nc
+                else:
+                    del out[exp]
+        return WeylElement(self.sig, out)
 
     # -- weights --------------------------------------------------------------
 

@@ -64,7 +64,10 @@ def test_multiplier_json_roundtrip(capsys):
     assert sorted(str(p) for p in parsed) == sorted(gens)
     assert {str(p) for p in parsed} == {"x^2", "x*y", "y^2"}
     stats = payload["stats"]
-    assert set(stats) >= {"spairs", "reductions", "max_coeff_bits", "millis"}
+    assert set(stats) >= {
+        "spairs", "pruned_chain", "pruned_product", "reductions",
+        "max_coeff_bits", "millis",
+    }
 
 
 def test_jumps_text(capsys):
@@ -96,6 +99,7 @@ def test_stats_flag_in_text_mode(capsys):
     )
     assert code == 0
     assert "stats: spairs=" in out
+    assert " pruned_chain=" in out and " pruned_product=" in out
 
 
 def test_stats_count_one_invocation(capsys):
@@ -130,6 +134,9 @@ def test_parse_error_exit_code(capsys):
         ("multiplier", "--vars", "x", "--ideal", "x", "--c", "1/0"),
         ("jumps", "--vars", "x", "--ideal", "x", "--cmax", "1/0"),
         ("multiplier", "--vars", "x", "--ideal", "x", "--c", "abc"),
+        ("multiplier", "--vars", "x", "--ideal", "x", "--c=-1"),
+        ("jumps", "--vars", "x", "--ideal", "x", "--cmax=-1"),
+        ("jumps", "--vars", "x", "--ideal", "x", "--cmax=0"),
     ):
         code, _, err = run_cli(capsys, *argv)
         assert code == 2, argv

@@ -349,4 +349,10 @@ def test_stats_counters_exposed():
     assert d["spairs"] >= 0
     assert d["reductions"] > 0
     assert d["max_coeff_bits"] >= 1
-    assert set(d) >= {"spairs", "reductions", "max_coeff_bits", "millis"}
+    # the leads x^2 and y^2 of the first two generators are coprime
+    assert d["pruned_product"] >= 1
+    assert d["pruned_chain"] >= 0
+    assert set(d) >= {
+        "spairs", "pruned_chain", "pruned_product", "reductions",
+        "max_coeff_bits", "millis",
+    }

@@ -1,10 +1,21 @@
 """Randomized algebraic invariants, independent of any fixed numbers."""
 
+import os
 from fractions import Fraction
+from unittest import mock
 
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, reject, settings, strategies as st
 
-from multid.groebner import LeftIdeal, TermOrder, normal_form
+from multid.errors import ComputationTimeout
+from multid.groebner import (
+    TIME_LIMIT_ENV,
+    LeftIdeal,
+    TermOrder,
+    collect_stats,
+    member,
+    normal_form,
+    spairs_reduce_to_zero,
+)
 from multid.rationals import FactoredBPoly, rational_roots
 from multid.weyl import Signature, WeightVector, WeylElement
 
@@ -145,3 +156,50 @@ def test_normal_form_difference_is_member(gens, h):
     assert I.contains(h - nf)
     if nf.is_zero():
         assert I.contains(h)
+
+
+def _weyl_ideal_and_permutation():
+    gens = st.lists(
+        st.dictionaries(
+            st.tuples(*[st.integers(min_value=0, max_value=2)] * SIG.nslots),
+            st.sampled_from((-3, -2, -1, 1, 2, 3)),
+            min_size=1,
+            max_size=3,
+        ).map(lambda terms: WeylElement(SIG, terms)),
+        min_size=1,
+        max_size=3,
+    )
+    return gens.flatmap(lambda gs: st.tuples(st.just(gs), st.permutations(gs)))
+
+
+def _gens(*terms_list):
+    return [WeylElement(SIG, terms) for terms in terms_list]
+
+
+# Leads coprime, elements not commuting, so the product criterion must not
+# drop the pair: <Dx, t^2 + x> is the unit ideal, and
+# <3*x^2*Dx*Dt, x^2*Dx + 3*t^2*Dt - 3*x*Dt> contains x*Dt.
+_DX, _T2_X = {(0, 0, 1, 0): 1}, {(0, 2, 0, 0): 1, (1, 0, 0, 0): 1}
+_A = {(2, 0, 1, 1): 3}
+_B = {(2, 0, 1, 0): 1, (0, 2, 0, 1): 3, (1, 0, 0, 1): -3}
+
+
+@settings(max_examples=80, deadline=None)
+@given(_weyl_ideal_and_permutation())
+@example((_gens(_DX, _T2_X), _gens(_T2_X, _DX)))
+@example((_gens(_A, _B), _gens(_B, _A)))
+def test_pair_criteria_keep_the_groebner_property(gens_and_permutation):
+    gens, permuted = gens_and_permutation
+    order = TermOrder.grevlex(SIG)
+    # some random Weyl ideals need minutes; an example that exceeds the
+    # budget is discarded as too large, not counted as a pass or a failure
+    with mock.patch.dict(os.environ, {TIME_LIMIT_ENV: "500"}), collect_stats():
+        try:
+            I = LeftIdeal(SIG, gens)
+            basis = I.groebner_ipolys(order)
+            # the audit checks every pair of the basis, pruning none
+            assert spairs_reduce_to_zero(SIG, basis, order)
+            assert all(member(g, I, order) for g in gens)
+            assert LeftIdeal(SIG, permuted).groebner_ipolys(order) == basis
+        except ComputationTimeout:
+            reject()
