@@ -171,9 +171,13 @@ def build_If(input: IdealInput) -> LeftIdeal:
 
 
 def compute_If1(input: IdealInput) -> LeftIdeal:
-    """I_{f,1} = I_f cap D_Y = (Ann prod f_i^{s_i})^*, memoised per f."""
+    """I_{f,1} = I_f cap D_Y = (Ann prod f_i^{s_i})^*, memoised per f.
+
+    I_f is a weight homogenization, so its elimination runs with sugar
+    selection.
+    """
     return input.memoized(
-        ("If1",), lambda: eliminate(build_If(input), input.weyl_sig())
+        ("If1",), lambda: eliminate(build_If(input), input.weyl_sig(), sugar=True)
     )
 
 

@@ -18,11 +18,13 @@ from multid.groebner import (
     reduced_gb,
     saturate,
     spairs_reduce_to_zero,
+    weight_homogenization,
 )
 from multid.parsing import parse_polynomial
-from multid.pipeline import polynomial_ring
+from multid.pipeline import ann_fs_generators, polynomial_ring
 from multid.weyl import Signature, WeightVector, WeylElement
 
+from conftest import make_input
 from helpers import ideal_of
 
 
@@ -169,6 +171,25 @@ def test_initial_ideal_of_homogeneous_ideal():
     t, dt = gen(sig, "t"), gen(sig, "Dt")
     I = LeftIdeal(sig, [t * dt, dt * dt])
     assert ideal_equal(initial_ideal(I, vw), I)
+
+
+def test_initial_ideal_selects_by_sugar():
+    # the elimination in initial_ideal runs with sugar selection: the same
+    # ideal as with normal selection, in fewer S-pairs
+    inp = make_input(("x", "y"), ("x^2", "x*y", "y^4"))
+    sig = inp.weyl_sig()
+    vw = WeightVector.v_filtration(sig)
+    ann = LeftIdeal(sig, ann_fs_generators(inp))
+    with collect_stats() as by_sugar:
+        J = initial_ideal(ann, vw)
+    H = weight_homogenization(ann, vw)
+    u1 = H.sig.central[-2]
+    with collect_stats() as normal:
+        K = eliminate(H, sig.with_central(u1))
+    assert list(J.generators) == [
+        g.substitute_central(u1, 0).project(sig) for g in K.generators
+    ]
+    assert by_sugar.spairs < normal.spairs
 
 
 # -- colon / saturation -----------------------------------------------------
@@ -347,12 +368,13 @@ def test_stats_counters_exposed():
     assert stats is not None
     d = stats.as_dict()
     assert d["spairs"] >= 0
+    assert 0 <= d["zero_spairs"] <= d["spairs"]
     assert d["reductions"] > 0
     assert d["max_coeff_bits"] >= 1
     # the leads x^2 and y^2 of the first two generators are coprime
     assert d["pruned_product"] >= 1
     assert d["pruned_chain"] >= 0
     assert set(d) >= {
-        "spairs", "pruned_chain", "pruned_product", "reductions",
+        "spairs", "zero_spairs", "pruned_chain", "pruned_product", "reductions",
         "max_coeff_bits", "millis",
     }

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from multid.errors import UnsupportedM, ZeroDivisor
-from multid.groebner import member
+from multid.groebner import collect_stats, eliminate, member
 from multid.parsing import parse_polynomial
 from multid.pipeline import (
     IdealInput,
@@ -122,6 +122,18 @@ def test_If1_generators_are_homogeneous():
     assert I1.generators
     for g in I1.generators:
         assert g.is_homogeneous(vw)
+
+
+def test_If1_selects_by_sugar():
+    # compute_If1 eliminates with sugar selection: the same generators as
+    # with normal selection, in fewer S-pairs
+    inp = make_input(("x", "y"), ("x^2", "x*y", "y^4"))
+    with collect_stats() as by_sugar:
+        I1 = compute_If1(inp)
+    with collect_stats() as normal:
+        reference = eliminate(build_If(inp), inp.weyl_sig())
+    assert I1.generators == reference.generators
+    assert by_sugar.spairs < normal.spairs
 
 
 def test_If1_contained_in_annihilator():

@@ -203,3 +203,22 @@ def test_pair_criteria_keep_the_groebner_property(gens_and_permutation):
             assert LeftIdeal(SIG, permuted).groebner_ipolys(order) == basis
         except ComputationTimeout:
             reject()
+
+
+@settings(max_examples=80, deadline=None)
+@given(_weyl_ideal_and_permutation())
+@example((_gens(_DX, _T2_X), _gens(_T2_X, _DX)))
+@example((_gens(_A, _B), _gens(_B, _A)))
+def test_sugar_selection_gives_the_same_basis(gens_and_permutation):
+    gens, permuted = gens_and_permutation
+    order = TermOrder.grevlex(SIG)
+    # the same budget as the normal-selection test above
+    with mock.patch.dict(os.environ, {TIME_LIMIT_ENV: "500"}), collect_stats():
+        try:
+            basis = LeftIdeal(SIG, gens).groebner_ipolys(order)
+            for gs in (gens, permuted):
+                by_sugar = LeftIdeal(SIG, gs).groebner_ipolys(order, sugar=True)
+                assert by_sugar == basis
+            assert spairs_reduce_to_zero(SIG, by_sugar, order)
+        except ComputationTimeout:
+            reject()
