@@ -12,10 +12,11 @@ descending; all reduction arithmetic is fraction free.
 One Buchberger loop computes every basis, with one of two pair selections.
 The eliminations that start from a weight homogenization, I_{f,1} in the
 pipeline and the u-elimination in `initial_ideal`, select by sugar: there it
-needs a half to a fifth of the S-pairs of normal selection.  Every other run
-(J_f(m), I_2, intersect, colon, saturate, member, `LeftIdeal.groebner`)
-keeps normal selection, since sugar measured slower on J_f(m).  The reduced
-basis is the same under either selection.
+needed a fifth to two thirds of the S-pairs of normal selection on every
+input measured.  Every other run (J_f(m), I_2, intersect, colon, saturate,
+member, `LeftIdeal.groebner`) keeps normal selection: on J_f(m) and I_2
+sugar needed more S-pairs and reductions (ROADMAP item 1 has the numbers).
+The reduced basis is the same under either selection.
 """
 
 from __future__ import annotations
@@ -254,18 +255,17 @@ def _reduce_full(
         c = p.pop(e, 0)
         if not c:
             continue
-        # divisor lookup: a positive hit stays valid as the basis grows, a
-        # miss only needs the elements added since it was recorded; the
-        # complemented support mask, built once per exponent and kept with
-        # the entry, screens out most candidates with one int op
+        # divisor lookup: a positive hit stays valid as the basis grows and
+        # is kept as (hit,); a miss only needs the elements added since it
+        # was recorded, and is kept as (None, len(leads), support mask), so
+        # each exponent builds its mask once; the mask screens out most
+        # candidates with one int op
         ent = divcache.get(e)
         if ent is not None and ent[0] is not None:
             hit = ent[0]
         else:
-            if ent is None:
-                start, em = 0, ~_support_mask(e)
-            else:
-                start, em = ent[1], ent[2]
+            start, mask = (0, _support_mask(e)) if ent is None else ent[1:]
+            em = ~mask
             hit = None
             for i in range(start, len(leads)):
                 if lead_masks[i] & em:
@@ -273,7 +273,7 @@ def _reduce_full(
                 if _divides(leads[i], e):
                     hit = i
                     break
-            divcache[e] = (hit, len(leads), em)
+            divcache[e] = (hit,) if hit is not None else (None, len(leads), mask)
         if hit is None:
             res.append((e, c, scale))
             continue

@@ -219,6 +219,5 @@ def test_sugar_selection_gives_the_same_basis(gens_and_permutation):
             for gs in (gens, permuted):
                 by_sugar = LeftIdeal(SIG, gs).groebner_ipolys(order, sugar=True)
                 assert by_sugar == basis
-            assert spairs_reduce_to_zero(SIG, by_sugar, order)
         except ComputationTimeout:
             reject()
