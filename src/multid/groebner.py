@@ -9,14 +9,17 @@ weight homogenization instead of a direct non-term-order computation.
 Internally polynomials are primitive integer-coefficient term lists sorted
 descending; all reduction arithmetic is fraction free.
 
-One Buchberger loop computes every basis, with one of two pair selections.
-The eliminations that start from a weight homogenization, I_{f,1} in the
-pipeline and the u-elimination in `initial_ideal`, select by sugar: there it
-needed a fifth to two thirds of the S-pairs of normal selection on every
-input measured.  Every other run (J_f(m), I_2, intersect, colon, saturate,
-member, `LeftIdeal.groebner`) keeps normal selection: on J_f(m) and I_2
-sugar needed more S-pairs and reductions (ROADMAP item 1 has the numbers).
-The reduced basis is the same under either selection.
+One Buchberger loop computes every basis, and the term order picks its pair
+selection.  An order that weighs a slot of the Weyl part (an x, t, Dx or Dt)
+eliminates Weyl slots, as the restrictions to C[x,s] behind J_f(m) and I_2
+do: those runs use normal selection, since sugar needed more S-pairs and
+reductions on them.  Every other order weighs central slots or none: plain
+grevlex, and the eliminations of u1 and u2 (I_{f,1}, `initial_ideal`), of
+u (`intersect`), of y (`saturate`) and of x or s in C[x,s].  Those runs
+select by sugar, which on the weight homogenizations behind I_{f,1} and
+`initial_ideal` needed a fifth to two thirds of the S-pairs of normal
+selection (ROADMAP item 1 has the numbers).  The reduced basis is the same
+under either selection.
 """
 
 from __future__ import annotations
@@ -353,21 +356,19 @@ def _lcm_exp(a: tuple, b: tuple) -> tuple:
 
 
 def buchberger_ipolys(
-    sig: Signature,
-    gens: list,
-    order: TermOrder,
-    sugar: bool = False,
+    sig: Signature, gens: list, order: TermOrder
 ) -> tuple[list, GBStats]:
     """Buchberger with the Gebauer-Moeller pair update.
 
     Input and output are integer term lists; the output is the unique
     reduced basis (primitive integer form, positive leading coefficients,
-    sorted ascending by leading exponent), whichever pair selection ran.
-    sugar=True selects pairs by sugar, normal selection otherwise; see
-    `_buchberger`.  The run's GBStats come back with it and are added to
-    the enclosing `collect_stats` block; a run outside any block is its
-    own block, with its own time budget.
+    sorted ascending by leading exponent).  Pairs are selected by sugar
+    unless the order weighs a Weyl slot, as the module docstring sets out.
+    The run's GBStats come back with it and are added to the enclosing
+    `collect_stats` block; a run outside any block is its own block, with
+    its own time budget.
     """
+    sugar = not any(order.weights[: 2 * (sig.n + sig.r)])
     if _REQUEST.get() is None:
         with collect_stats():
             return _buchberger(sig, gens, order, sugar)
@@ -395,8 +396,8 @@ def _buchberger(sig: Signature, gens: list, order: TermOrder, sugar: bool) -> tu
     homogeneous: an input generator's is its total degree, a pair's is
     max(sug_i + deg lcm - deg lead_i, sug_j + deg lcm - deg lead_j), and an
     element added from a pair gets max(pair sugar, deg nf).  The bound
-    holds in the Weyl algebra too, since deg(m g) <= deg m + deg g.  The
-    module docstring says which runs use which selection.
+    holds in the Weyl algebra too, since deg(m g) <= deg m + deg g.  sugar
+    picks one of the two; `buchberger_ipolys` derives it from the order.
     """
     _check_deadline()
     stats = GBStats()
@@ -591,14 +592,13 @@ class LeftIdeal:
     def is_zero_ideal(self) -> bool:
         return not self.generators
 
-    def groebner_ipolys(self, order: TermOrder, sugar: bool = False) -> list:
-        # the reduced basis does not depend on the selection, so a basis
-        # computed under either serves both
+    def groebner_ipolys(self, order: TermOrder) -> list:
+        # keyed on the weights alone: they also fix the pair selection
         got = self._cache.get(order.weights)
         if got is not None:
             return got
         gens = [to_ipoly(g, order) for g in self.generators]
-        basis, _ = buchberger_ipolys(self.sig, gens, order, sugar)
+        basis, _ = buchberger_ipolys(self.sig, gens, order)
         self._cache[order.weights] = basis
         return basis
 
@@ -655,18 +655,17 @@ def _fresh_name(sig: Signature, base: str) -> str:
     return name
 
 
-def eliminate(I: LeftIdeal, target: Signature, sugar: bool = False) -> LeftIdeal:
+def eliminate(I: LeftIdeal, target: Signature) -> LeftIdeal:
     """I cap target: the restriction of I to the subalgebra on target's names.
 
     Realized by a Groebner basis under the weight vector that is 1 on every
     slot absent from target and 0 on the others; its elements free of the
     eliminated slots are the returned generators, re-expressed in target.
-    sugar selects the pair selection of that run (see `_buchberger`).
     """
     sig = I.sig
     keep = {sig.slot_of(n) for n in target.slot_names}
     order = TermOrder(sig, [0 if i in keep else 1 for i in range(sig.nslots)])
-    basis = [from_ipoly(sig, g) for g in I.groebner_ipolys(order, sugar)]
+    basis = [from_ipoly(sig, g) for g in I.groebner_ipolys(order)]
     return LeftIdeal(
         target, [g.project(target) for g in basis if g.support_slots() <= keep]
     )
@@ -711,15 +710,14 @@ def initial_ideal(I: LeftIdeal, vw: WeightVector) -> LeftIdeal:
     weights are negative, so instead: homogenize the generators with u1,
     saturate by u1 via the inverse variable u2, and set u1 to 0.  The
     resulting ideal of D[u1] is the full weight homogenization of I, and its
-    image at u1 = 0 is exactly the initial ideal.  The elimination of u2
-    runs with sugar selection, which suits a weight homogenization.
+    image at u1 = 0 is exactly the initial ideal.
     """
     sig = I.sig
     if I.is_zero_ideal():
         return LeftIdeal(sig, [])
     H = weight_homogenization(I, vw)
     u1 = H.sig.central[-2]  # the fresh u1; u2 comes last
-    K = eliminate(H, sig.with_central(u1), sugar=True)
+    K = eliminate(H, sig.with_central(u1))
     return LeftIdeal(
         sig, [g.substitute_central(u1, 0).project(sig) for g in K.generators]
     )

@@ -171,13 +171,9 @@ def build_If(input: IdealInput) -> LeftIdeal:
 
 
 def compute_If1(input: IdealInput) -> LeftIdeal:
-    """I_{f,1} = I_f cap D_Y = (Ann prod f_i^{s_i})^*, memoised per f.
-
-    I_f is a weight homogenization, so its elimination runs with sugar
-    selection.
-    """
+    """I_{f,1} = I_f cap D_Y = (Ann prod f_i^{s_i})^*, memoised per f."""
     return input.memoized(
-        ("If1",), lambda: eliminate(build_If(input), input.weyl_sig(), sugar=True)
+        ("If1",), lambda: eliminate(build_If(input), input.weyl_sig())
     )
 
 
@@ -266,15 +262,17 @@ def _b_of_colon(J: LeftIdeal, input: IdealInput) -> FactoredBPoly:
 def bfunction(input: IdealInput) -> FactoredBPoly:
     """The generalized Bernstein-Sato polynomial b_{a,g}(s).
 
-    For m = 1 this follows the colon construction on
+    For m = 1 and nonconstant g this follows the colon construction on
     D_Y[s](I_{f,1} + g a + <s - sigma>) cap C[x,s], giving the classical
-    b_{a,g}; for m > 1 it is b^{(m)}_{a,g}, the generator of
-    (J_f(m) : g) cap C[s].  The two notions agree when g = 1.
+    b_{a,g}.  Otherwise it is b^{(m)}_{a,g}, the generator of
+    (J_f(m) : g) cap C[s], which `bfunction_level` computes and memoises;
+    the two notions agree when g = 1.
     """
-    return input.memoized(
-        ("bfunction", input.g, input.m),
-        lambda: _b_of_colon(defining_ideal(input), input),
-    )
+    if input.m == 1 and not input.g.is_constant():
+        return input.memoized(
+            ("bfunction", input.g), lambda: _b_of_colon(_build_I2(input), input)
+        )
+    return bfunction_level(input)
 
 
 def bfunction_level(input: IdealInput) -> FactoredBPoly:
@@ -283,10 +281,7 @@ def bfunction_level(input: IdealInput) -> FactoredBPoly:
     Unlike `bfunction` with m = 1, this variant reuses one memoised J_f(m)
     for every g, which is what the membership and filtration queries need;
     its root set within [lct, lct + m) carries the multiplier-ideal data.
-    For g = 1 it is `bfunction` itself, and shares its memo entry.
     """
-    if input.g.is_constant():
-        return bfunction(input)
     return input.memoized(
         ("bfunction_level", input.g, input.m),
         lambda: _b_of_colon(build_Jf_m(input), input),

@@ -1,8 +1,7 @@
 """Acceptance suite: one test (and one printed pass line) per criterion.
 
-Run with -s to see the per-criterion lines.  The 2x2-minors regression is
-in the slow suite (-m slow); the stress fixtures (-m stress) have no pass
-requirement and exist only to exercise the engine at scale.
+Run with -s to see the per-criterion lines.  The stress fixtures (-m stress)
+have no pass requirement and exist only to exercise the engine at scale.
 """
 
 from fractions import Fraction
@@ -62,7 +61,6 @@ def test_criterion_2_nonprincipal_bfunctions(x2y3, t456_curve, sphere_cusp):
     _ok(2, "non-principal b-function regressions")
 
 
-@pytest.mark.slow
 def test_criterion_2_generic_2x3_minors():
     variables = ("x1", "x2", "x3", "x4", "x5", "x6")
     minors = make_input(
@@ -70,7 +68,7 @@ def test_criterion_2_generic_2x3_minors():
         ("x1*x5-x2*x4", "x2*x6-x3*x5", "x3*x4-x1*x6"),
     )
     assert str(bfunction(minors)) == "(s+2)(s+3)"
-    _ok(2, "2x2 minors of the generic 2x3 matrix (slow suite)")
+    _ok(2, "2x2 minors of the generic 2x3 matrix")
 
 
 # -- criterion 3: multiplier-ideal filtrations -----------------------------------

@@ -1,11 +1,14 @@
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
+from multid import groebner
 from multid.errors import NoncommutativeContext, SignatureMismatch
 from multid.groebner import (
     LeftIdeal,
     TermOrder,
+    _buchberger,
     collect_stats,
     colon,
     eliminate,
@@ -18,14 +21,20 @@ from multid.groebner import (
     reduced_gb,
     saturate,
     spairs_reduce_to_zero,
+    to_ipoly,
     weight_homogenization,
 )
 from multid.parsing import parse_polynomial
-from multid.pipeline import ann_fs_generators, polynomial_ring
+from multid.pipeline import (
+    ann_fs_generators,
+    build_Jf_m,
+    compute_If1,
+    polynomial_ring,
+)
 from multid.weyl import Signature, WeightVector, WeylElement
 
 from conftest import make_input
-from helpers import ideal_of
+from helpers import eliminate_by_normal_selection, ideal_of
 
 
 XYZ = ("x", "y", "z")
@@ -174,8 +183,8 @@ def test_initial_ideal_of_homogeneous_ideal():
 
 
 def test_initial_ideal_selects_by_sugar():
-    # the elimination in initial_ideal runs with sugar selection: the same
-    # ideal as with normal selection, in fewer S-pairs
+    # the elimination in initial_ideal removes only the central u2, so it
+    # selects by sugar: the same ideal as normal selection, in fewer S-pairs
     inp = make_input(("x", "y"), ("x^2", "x*y", "y^4"))
     sig = inp.weyl_sig()
     vw = WeightVector.v_filtration(sig)
@@ -184,12 +193,54 @@ def test_initial_ideal_selects_by_sugar():
         J = initial_ideal(ann, vw)
     H = weight_homogenization(ann, vw)
     u1 = H.sig.central[-2]
-    with collect_stats() as normal:
-        K = eliminate(H, sig.with_central(u1))
-    assert list(J.generators) == [
-        g.substitute_central(u1, 0).project(sig) for g in K.generators
-    ]
+    K, normal = eliminate_by_normal_selection(H, sig.with_central(u1))
+    assert list(J.generators) == [g.substitute_central(u1, 0).project(sig) for g in K]
     assert by_sugar.spairs < normal.spairs
+
+
+def _counts(stats):
+    return stats.spairs, stats.reductions
+
+
+def _both_selections(sig, gens, order):
+    """The GBStats of a sugar and of a normal-selection run."""
+    with collect_stats():
+        return (
+            _buchberger(sig, gens, order, True)[1],
+            _buchberger(sig, gens, order, False)[1],
+        )
+
+
+def test_selection_follows_the_order():
+    # sugar selection unless the order weighs a slot of the Weyl part
+    sig = Signature(xvars=("x",), tvars=("t",))
+    x, t, dx, dt = (gen(sig, v) for v in ("x", "t", "Dx", "Dt"))
+    I = LeftIdeal(
+        sig,
+        [
+            (x * x * t * dx * dt).scale(3) - x * t,
+            (t * t * dx * dt).scale(2) - (t * dx * dt * dt).scale(2),
+        ],
+    )
+    order = TermOrder.grevlex(sig)
+    with collect_stats() as grevlex:
+        I.groebner_ipolys(order)
+    by_sugar, normal = _both_selections(
+        sig, [to_ipoly(g, order) for g in I.generators], order
+    )
+    assert _counts(by_sugar) != _counts(normal)
+    assert _counts(grevlex) == _counts(by_sugar)
+    # the restriction of J_f(1) to C[x,s] weighs t, Dx and Dt; for
+    # <x^2, y^3> (unlike the cusp) the two selections differ there
+    inp = make_input(("x", "y"), ("x^2", "y^3"))
+    compute_If1(inp)
+    spy = mock.patch.object(groebner, "_buchberger", wraps=_buchberger)
+    with spy as run, collect_stats() as jf:
+        build_Jf_m(inp)
+    (call,) = run.call_args_list
+    by_sugar, normal = _both_selections(*call.args[:3])
+    assert _counts(by_sugar) != _counts(normal)
+    assert _counts(jf) == _counts(normal)
 
 
 # -- colon / saturation -----------------------------------------------------

@@ -1,11 +1,13 @@
 import gc
 import weakref
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
+from multid import groebner
 from multid.errors import UnsupportedM, ZeroDivisor
-from multid.groebner import collect_stats, eliminate, member
+from multid.groebner import collect_stats, member
 from multid.parsing import parse_polynomial
 from multid.pipeline import (
     IdealInput,
@@ -21,6 +23,7 @@ from multid.pipeline import (
 from multid.weyl import WeightVector, WeylElement
 
 from conftest import make_input
+from helpers import eliminate_by_normal_selection
 
 
 def gen(sig, name):
@@ -125,14 +128,13 @@ def test_If1_generators_are_homogeneous():
 
 
 def test_If1_selects_by_sugar():
-    # compute_If1 eliminates with sugar selection: the same generators as
-    # with normal selection, in fewer S-pairs
+    # compute_If1 eliminates only the central u1 and u2, so it selects by
+    # sugar: the same generators as normal selection, in fewer S-pairs
     inp = make_input(("x", "y"), ("x^2", "x*y", "y^4"))
     with collect_stats() as by_sugar:
         I1 = compute_If1(inp)
-    with collect_stats() as normal:
-        reference = eliminate(build_If(inp), inp.weyl_sig())
-    assert I1.generators == reference.generators
+    reference, normal = eliminate_by_normal_selection(build_If(inp), inp.weyl_sig())
+    assert list(I1.generators) == reference
     assert by_sugar.spairs < normal.spairs
 
 
@@ -205,6 +207,18 @@ def test_bfunction_level_differs_for_nonunit_g():
     cusp = make_input(("x", "y"), ("x^2+y^3",))
     gx = parse_polynomial("x", ("x", "y"))
     assert str(bfunction_level(cusp.with_g(gx))) == "(s+1)"
+
+
+def test_bfunction_and_bfunction_level_share_one_memo_entry():
+    # for m > 1 both compute the generator of (J_f(m) : g) cap C[s]
+    variables = ("x", "y")
+    inp = make_input(variables, ("x^2", "y^3"), m=2)
+    inp = inp.with_g(parse_polynomial("x", variables))
+    b = bfunction(inp)
+    real = groebner._buchberger
+    with mock.patch.object(groebner, "_buchberger", wraps=real) as run:
+        assert bfunction_level(inp) == b
+    run.assert_not_called()
 
 
 def test_bfunction_alg2_agrees():

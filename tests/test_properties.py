@@ -11,10 +11,12 @@ from multid.groebner import (
     TIME_LIMIT_ENV,
     LeftIdeal,
     TermOrder,
+    _buchberger,
     collect_stats,
     member,
     normal_form,
     spairs_reduce_to_zero,
+    to_ipoly,
 )
 from multid.rationals import FactoredBPoly, rational_roots
 from multid.weyl import Signature, WeightVector, WeylElement
@@ -209,15 +211,16 @@ def test_pair_criteria_keep_the_groebner_property(gens_and_permutation):
 @given(_weyl_ideal_and_permutation())
 @example((_gens(_DX, _T2_X), _gens(_T2_X, _DX)))
 @example((_gens(_A, _B), _gens(_B, _A)))
-def test_sugar_selection_gives_the_same_basis(gens_and_permutation):
+def test_normal_selection_gives_the_same_basis(gens_and_permutation):
     gens, permuted = gens_and_permutation
     order = TermOrder.grevlex(SIG)
-    # the same budget as the normal-selection test above
+    # the same budget as the test above, whose grevlex runs select by sugar
     with mock.patch.dict(os.environ, {TIME_LIMIT_ENV: "500"}), collect_stats():
         try:
             basis = LeftIdeal(SIG, gens).groebner_ipolys(order)
             for gs in (gens, permuted):
-                by_sugar = LeftIdeal(SIG, gs).groebner_ipolys(order, sugar=True)
-                assert by_sugar == basis
+                ipolys = [to_ipoly(g, order) for g in gs]
+                normal, _ = _buchberger(SIG, ipolys, order, False)
+                assert normal == basis
         except ComputationTimeout:
             reject()
