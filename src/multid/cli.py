@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 
 from . import groebner
-from .errors import ComputationTimeout, MultidError, ParseError
+from .errors import ComputationTimeout, MultidError, ParseError, ZeroDivisor
 from .groebner import GBStats
 from .multiplier import jumping_coefficients, lct, multiplier_ideal
 from .oracles import cross_check, verify_minimality
@@ -58,17 +58,25 @@ def _build_argparser() -> argparse.ArgumentParser:
 
 
 def _parse_input(args) -> IdealInput:
+    """The query's IdealInput.
+
+    Input that `Signature` or `IdealInput` rejects is a parse error: the
+    input, not the computation, is at fault.
+    """
     variables = tuple(v.strip() for v in args.vars.split(",") if v.strip())
-    gens = tuple(
-        parse_polynomial(src, variables)
-        for src in args.ideal.split(",")
-        if src.strip()
-    )
-    g = None
-    if getattr(args, "g", None):
-        g = parse_polynomial(args.g, variables)
-    m = getattr(args, "m", 1)
-    return IdealInput(variables, gens, g, m)
+    try:
+        gens = tuple(
+            parse_polynomial(src, variables)
+            for src in args.ideal.split(",")
+            if src.strip()
+        )
+        g = None
+        if getattr(args, "g", None):
+            g = parse_polynomial(args.g, variables)
+        m = getattr(args, "m", 1)
+        return IdealInput(variables, gens, g, m)
+    except (ValueError, ZeroDivisor) as e:
+        raise ParseError(str(e)) from e
 
 
 def _factored_json(b) -> dict:

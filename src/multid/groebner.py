@@ -25,6 +25,7 @@ under either selection.
 from __future__ import annotations
 
 import heapq
+import itertools
 import operator
 import os
 import time
@@ -222,11 +223,11 @@ def _reduce_full(
 ) -> list:
     """Full normal form of an integer term collection against G.
 
-    Fraction free: the working polynomial is rescaled as needed; terms
-    already moved to the remainder record the scale at the time they were
-    set aside and are fixed up at the end.  By default the result is a
-    primitive integer term list; with exact=True the true remainder is
-    returned as (exp, Fraction) pairs so that input - result lies in <G>.
+    Fraction free: the working polynomial p and the remainder r are integer
+    dicts at one scale; a step that multiplies p by u multiplies r too, and
+    the periodic content removal divides both.  By default the result is a
+    primitive integer term list; with exact=True it is r divided by the
+    scale, as (exp, Fraction) pairs, so that input - result lies in <G>.
     """
     key = order.key
     if lead_masks is None:
@@ -251,7 +252,9 @@ def _reduce_full(
     for e in p:
         heapq.heappush(heap, (heapkey(e), e))
     scale = Fraction(1)
-    res: list = []  # (exp, coeff, scale snapshot)
+    # a step only adds terms below the one it reduces, so terms reach r in
+    # descending order
+    r: dict = {}
     steps = 0
     while heap:
         _, e = heapq.heappop(heap)
@@ -278,7 +281,7 @@ def _reduce_full(
                     break
             divcache[e] = (hit,) if hit is not None else (None, len(leads), mask)
         if hit is None:
-            res.append((e, c, scale))
+            r[e] = c
             continue
         stats.reductions += 1
         steps += 1
@@ -291,6 +294,8 @@ def _reduce_full(
         if u != 1:
             for k in p:
                 p[k] *= u
+            for k in r:
+                r[k] *= u
             scale *= u
         mexp = tuple(a - b for a, b in zip(e, le))
         prod = mono_mul(sig, mexp, g)
@@ -306,34 +311,24 @@ def _reduce_full(
                 p.pop(pe, None)
         if steps % 32 == 0 and p:
             g0 = 0
-            for v in p.values():
+            for v in itertools.chain(p.values(), r.values()):
                 g0 = gcd(g0, v)
                 if g0 == 1:
                     break
             if g0 > 1:
                 for k in p:
                     p[k] //= g0
+                for k in r:
+                    r[k] //= g0
                 scale /= g0
-    if not res:
+    if not r:
         return []
     if exact:
-        # Each remainder term was set aside when the cumulative rescale of
-        # the working polynomial was sc, so its true coefficient is c/sc.
-        pairs = [(e, Fraction(c) / sc) for e, c, sc in res]
-        pairs.sort(key=lambda t: key(t[0]), reverse=True)
-        return pairs
-    out = {}
-    for e, c, sc in res:
-        out[e] = c * (scale / sc)
-    den = 1
-    for v in out.values():
-        den = den * v.denominator // gcd(den, v.denominator)
-    iout = {e: int(v * den) for e, v in out.items()}
-    exps = sorted(iout, key=key, reverse=True)
-    iout = _content_normalize(iout, exps[0])
-    for v in iout.values():
+        return [(e, c / scale) for e, c in r.items()]
+    r = _content_normalize(r, next(iter(r)))
+    for v in r.values():
         stats.note_coeff(v)
-    return [(e, iout[e]) for e in exps]
+    return list(r.items())
 
 
 def _product_criterion(sig: Signature, lf: int, sf: int, lg: int, sg: int) -> bool:
@@ -533,23 +528,20 @@ def interreduce(
     """Auto-reduce a Groebner basis to its unique primitive reduced form."""
     stats = stats if stats is not None else GBStats()
     # minimalize: drop leads divisible by another lead
-    order_key = order.key
-    items = sorted(G, key=lambda g: order_key(g[0][0]))
+    items = sorted(G, key=lambda g: order.key(g[0][0]))
     minimal: list = []
     for g in items:
         le = g[0][0]
         if any(_divides(h[0][0], le) for h in minimal):
             continue
         minimal.append(g)
-    # tail-reduce each against the others
+    # tail-reduce each against the others; no other lead divides its lead,
+    # so it keeps that lead and its place in the ascending order
     out: list = []
     for i, g in enumerate(minimal):
         others = minimal[:i] + minimal[i + 1 :]
         leads = [h[0][0] for h in others]
-        nf = _reduce_full(sig, g, others, leads, order, stats)
-        if nf:
-            out.append(nf)
-    out.sort(key=lambda g: order_key(g[0][0]))
+        out.append(_reduce_full(sig, g, others, leads, order, stats))
     return out
 
 
@@ -624,6 +616,8 @@ def normal_form(
     The result is zero exactly when P reduces to zero, and no remainder
     term is divisible by a leading exponent of G.
     """
+    if any(g.sig != P.sig for g in G):
+        raise SignatureMismatch("normal_form needs a common signature")
     if P.is_zero():
         return P
     sig = P.sig
@@ -733,6 +727,8 @@ def _require_commutative(gens, *extra):
 
 def exact_divide(p: WeylElement, g: WeylElement) -> WeylElement:
     """Exact division of commutative polynomials."""
+    if p.sig != g.sig:
+        raise SignatureMismatch("exact_divide needs a common signature")
     _require_commutative([p], g)
     if g.is_zero():
         raise ZeroDivisor("division by zero polynomial")
@@ -789,6 +785,8 @@ def saturate(I: LeftIdeal, p: WeylElement) -> LeftIdeal:
 
 def member(h: WeylElement, I: LeftIdeal, order: TermOrder | None = None) -> bool:
     """True iff h reduces to zero against a Groebner basis of I."""
+    if h.sig != I.sig:
+        raise SignatureMismatch("member needs a common signature")
     if h.is_zero():
         return True
     if I.is_zero_ideal():

@@ -137,6 +137,16 @@ def test_parse_error_exit_code(capsys):
         ("multiplier", "--vars", "x", "--ideal", "x", "--c=-1"),
         ("jumps", "--vars", "x", "--ideal", "x", "--cmax=-1"),
         ("jumps", "--vars", "x", "--ideal", "x", "--cmax=0"),
+        # input that Signature or IdealInput rejects
+        ("bfunction", "--vars", "x,y", "--ideal", "0"),
+        ("bfunction", "--vars", "x,y", "--ideal", ","),
+        ("bfunction", "--vars", "x,x", "--ideal", "x"),
+        ("bfunction", "--vars", "s", "--ideal", "s"),
+        ("bfunction", "--vars", "t1", "--ideal", "t1"),
+        ("bfunction", "--vars", "Dx", "--ideal", "Dx"),
+        ("bfunction", "--vars", ",", "--ideal", "1"),
+        ("bfunction", "--vars", "x,y", "--ideal", "x^2+y^3", "--m", "0"),
+        ("bfunction", "--vars", "x,y", "--ideal", "x^2+y^3", "--g", "0"),
     ):
         code, _, err = run_cli(capsys, *argv)
         assert code == 2, argv

@@ -9,6 +9,7 @@ from multid.groebner import (
     LeftIdeal,
     TermOrder,
     _buchberger,
+    buchberger_ipolys,
     collect_stats,
     colon,
     eliminate,
@@ -68,6 +69,32 @@ def test_normal_form_defining_relation():
     x, dx = gen(sig, "x"), gen(sig, "Dx")
     order = TermOrder.grevlex(sig)
     assert normal_form(dx * x, [x * dx + WeylElement.one(sig)], order).is_zero()
+
+
+def test_reducer_keeps_remainder_at_the_working_scale():
+    # Hand-checked remainders in Q[x, y] under grevlex.  In the first, x^2 is
+    # set aside before the step that rescales by 2; in the second, y^41 is set
+    # aside before the content division after step 32 of 40.
+    XY = ("x", "y")
+    order = TermOrder.grevlex(pol("x", XY).sig)
+    assert normal_form(pol("x^2+y", XY), [pol("2*y+1", XY)], order) == pol(
+        "x^2-1/2", XY
+    )
+    assert normal_form(pol("y^41+x^40", XY), [pol("x-2", XY)], order) == pol(
+        f"y^41+{2**40}", XY
+    )
+    for gens, reduced in (
+        (["x-2", "y^41+x^40"], ["x-2", f"y^41+{2**40}"]),
+        (["2*y+1", "x^2+y"], ["y+1/2", "x^2-1/2"]),
+    ):
+        G = [pol(g, XY) for g in gens]
+        assert reduced_gb(G, order) == [pol(g, XY) for g in reduced]
+        basis, _ = buchberger_ipolys(
+            order.sig, [to_ipoly(g, order) for g in G], order
+        )
+        for terms in basis:
+            keys = [order.key(e) for e, _ in terms]
+            assert all(a > b for a, b in zip(keys, keys[1:]))
 
 
 # -- buchberger -------------------------------------------------------------
@@ -157,6 +184,18 @@ def test_intersect_principal_coprime():
 def test_intersect_signature_mismatch():
     with pytest.raises(SignatureMismatch):
         intersect(ideal_of(("x",), "x"), ideal_of(("x", "y"), "x"))
+
+
+def test_slotwise_operations_reject_a_signature_mismatch():
+    # Q[x, y] and Q[y, x] have the same slot count, so comparing exponent
+    # tuples slot by slot would read x as y
+    x, y_in_yx = pol("x", ("x", "y")), pol("y", ("y", "x"))
+    with pytest.raises(SignatureMismatch):
+        member(x, ideal_of(("y", "x"), "y"))
+    with pytest.raises(SignatureMismatch):
+        normal_form(x, [y_in_yx], TermOrder.grevlex(x.sig))
+    with pytest.raises(SignatureMismatch):
+        exact_divide(pol("x^2*y", ("y", "x")), x)
 
 
 # -- initial ideal ------------------------------------------------------------
