@@ -6,6 +6,7 @@ algebras, and saturation/elimination in commutative polynomial rings.
 
 from .errors import (
     ComputationTimeout,
+    InvalidSetting,
     IrrationalResidue,
     MultidError,
     NoncommutativeContext,

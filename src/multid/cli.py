@@ -15,7 +15,13 @@ import sys
 from fractions import Fraction
 
 from . import groebner
-from .errors import ComputationTimeout, MultidError, ParseError, ZeroDivisor
+from .errors import (
+    ComputationTimeout,
+    InvalidSetting,
+    MultidError,
+    ParseError,
+    ZeroDivisor,
+)
 from .groebner import GBStats
 from .multiplier import jumping_coefficients, lct, multiplier_ideal
 from .oracles import cross_check, verify_minimality
@@ -180,6 +186,9 @@ def main(argv=None) -> int:
     try:
         with groebner.collect_stats() as stats:
             result, lines = _run(args)
+    except InvalidSetting as e:
+        print(f"usage error: {e}", file=sys.stderr)
+        return USAGE_ERROR
     except ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return PARSE_ERROR

@@ -63,5 +63,17 @@ class UnknownVariable(ParseError):
     """Identifier is not among the declared variables."""
 
 
+class InvalidSetting(MultidError, ValueError):
+    """An environment setting such as MULTID_TIME_LIMIT_MS has a bad value."""
+
+
 class ComputationTimeout(MultidError):
     """A Groebner basis run exceeded the configured wall-time cap."""
+
+
+class PackingOverflow(MultidError):
+    """A monomial would exceed the degree its packed fields can hold.
+
+    Raised inside a packed computation before any field could carry; the
+    Groebner layer catches it and starts again with wider fields.
+    """

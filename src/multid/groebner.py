@@ -6,8 +6,19 @@ the full exponent tuple.  Orders with negative weights, needed for initial
 ideals under the V-filtration weight, are handled in `initial_ideal` via
 weight homogenization instead of a direct non-term-order computation.
 
-Internally polynomials are primitive integer-coefficient term lists sorted
-descending; all reduction arithmetic is fraction free.
+Callers see integer term lists: (exponent tuple, int) pairs, primitive
+and sorted descending.  The Buchberger loop, the reducer, the S-pairs and
+the interreduction run on packed monomials instead (`weyl.Packing`, after
+Monagan and Pearce, "Sparse polynomial division using a heap", JSC 46,
+2011): a term is an (order int, exponent int, coeff) triple, where order
+ints compare like `TermOrder.key`, key the dicts and, negated, the
+reducer's heap, and exponent ints test divisibility and form lcms with a
+few integer operations.  `_packed` packs the input once on the way in,
+with fields sized from its degrees, and the result is unpacked once on
+the way out; a run whose monomials would outgrow the fields raises
+PackingOverflow before any field carries and starts again with wider
+fields, so it never returns a wrong basis.  All reduction arithmetic is
+fraction free.
 
 One Buchberger loop computes every basis, and the term order picks its pair
 selection.  An order that weighs a slot of the Weyl part (an x, t, Dx or Dt)
@@ -37,11 +48,13 @@ from math import gcd
 
 from .errors import (
     ComputationTimeout,
+    InvalidSetting,
     NoncommutativeContext,
+    PackingOverflow,
     SignatureMismatch,
     ZeroDivisor,
 )
-from .weyl import Signature, WeightVector, WeylElement, mono_mul
+from .weyl import Packing, Signature, WeightVector, WeylElement, mono_mul
 
 TIME_LIMIT_ENV = "MULTID_TIME_LIMIT_MS"
 
@@ -52,6 +65,7 @@ class GBStats:
 
     spairs: int = 0
     zero_spairs: int = 0
+    zero_steps: int = 0  # reduction steps spent on S-pairs that reduce to zero
     pruned_product: int = 0
     pruned_chain: int = 0
     reductions: int = 0
@@ -66,6 +80,7 @@ class GBStats:
     def merge(self, other: "GBStats"):
         self.spairs += other.spairs
         self.zero_spairs += other.zero_spairs
+        self.zero_steps += other.zero_steps
         self.pruned_product += other.pruned_product
         self.pruned_chain += other.pruned_chain
         self.reductions += other.reductions
@@ -76,6 +91,7 @@ class GBStats:
         return {
             "spairs": self.spairs,
             "zero_spairs": self.zero_spairs,
+            "zero_steps": self.zero_steps,
             "pruned_chain": self.pruned_chain,
             "pruned_product": self.pruned_product,
             "reductions": self.reductions,
@@ -96,11 +112,23 @@ def collect_stats():
 
     The block is one request: the MULTID_TIME_LIMIT_MS budget is read when
     it opens and covers every run inside it.  When blocks nest, the
-    innermost one counts a run and sets its budget.
+    innermost one counts a run and sets its budget.  A value that is not
+    a nonnegative integer raises InvalidSetting, a ValueError.
     """
     total = GBStats()
     ms = os.environ.get(TIME_LIMIT_ENV)
-    deadline = time.monotonic() + int(ms) / 1000.0 if ms else None
+    deadline = None
+    if ms:
+        try:
+            limit = int(ms)
+        except ValueError:
+            limit = -1
+        if limit < 0:
+            raise InvalidSetting(
+                f"{TIME_LIMIT_ENV} must be a nonnegative integer of"
+                f" milliseconds, not {ms!r}"
+            )
+        deadline = time.monotonic() + limit / 1000.0
     token = _REQUEST.set((total, deadline))
     try:
         yield total
@@ -122,9 +150,11 @@ class TermOrder:
 
     All slot weights must be nonnegative (a genuine term order); elimination
     orders are realized by weighting the eliminated block positively.
+    `key` is the reference definition; the Buchberger loop compares the
+    order ints of `weyl.Packing`, which order monomials the same way.
     """
 
-    __slots__ = ("sig", "weights", "_cache", "_trivial_weights")
+    __slots__ = ("sig", "weights")
 
     def __init__(self, sig: Signature, weights=None):
         if weights is None:
@@ -136,32 +166,22 @@ class TermOrder:
             raise ValueError("term orders require nonnegative slot weights")
         self.sig = sig
         self.weights = weights
-        self._trivial_weights = not any(weights)
-        self._cache: dict = {}
 
     @staticmethod
     def grevlex(sig: Signature) -> "TermOrder":
         return TermOrder(sig)
 
     def key(self, exp: tuple) -> tuple:
-        k = self._cache.get(exp)
-        if k is None:
-            wt = (
-                0
-                if self._trivial_weights
-                else sum(w * e for w, e in zip(self.weights, exp) if e)
-            )
-            k = (wt, sum(exp), tuple(-e for e in reversed(exp)))
-            self._cache[exp] = k
-        return k
+        wt = sum(w * e for w, e in zip(self.weights, exp) if e)
+        return (wt, sum(exp), tuple(-e for e in reversed(exp)))
 
 
 # ---------------------------------------------------------------------------
-# integer term-list representation
+# integer term lists and their packed form
 # ---------------------------------------------------------------------------
 
 
-def _content_normalize(terms: dict, lead_exp: tuple) -> dict:
+def _content_normalize(terms: dict, lead) -> dict:
     """Divide through by the integer content; make the leading coeff positive."""
     if not terms:
         return {}
@@ -170,7 +190,7 @@ def _content_normalize(terms: dict, lead_exp: tuple) -> dict:
         g = gcd(g, c)
         if g == 1:
             break
-    if terms[lead_exp] < 0:
+    if terms[lead] < 0:
         g = -g
     if g == 1:
         return terms
@@ -198,97 +218,104 @@ def from_ipoly(sig: Signature, terms: list) -> WeylElement:
     return WeylElement(sig, {e: Fraction(c, lc) for e, c in terms})
 
 
-def _divides(a: tuple, b: tuple) -> bool:
-    return all(map(operator.le, a, b))
+# fields start with room for this many times the input's largest degree
+_HEADROOM = 4
 
 
-def _support_mask(e: tuple) -> int:
-    m = 0
-    for i, v in enumerate(e):
-        if v:
-            m |= 1 << i
-    return m
+def _packed(sig: Signature, order: TermOrder, polys: list, run):
+    """run(pk, packed polys) under a `Packing` of sig and order.
+
+    polys are integer term lists with exponent tuples; each is handed to
+    run as a list of (order int, exponent int, coeff) triples in the same
+    order.  The fields start at _HEADROOM times the largest input degree;
+    if run raises PackingOverflow, it runs again from the start with one
+    more bit per field, so a result never comes from a carried field.
+    """
+    deg = max((sum(e) for ip in polys for e, _ in ip), default=0)
+    bound = _HEADROOM * max(deg, 1)
+    while True:
+        pk = Packing(sig, order.weights, bound)
+        packed = [[pk.pack(e) + (c,) for e, c in ip] for ip in polys]
+        try:
+            return run(pk, packed)
+        except PackingOverflow:
+            bound = 2 * pk.limit + 1
+
+
+def _unpack(pk: Packing, ip: list) -> list:
+    return [(pk.unpack(e), c) for _, e, c in ip]
+
+
+def _degree(pk: Packing, ip: list) -> int:
+    return max(pk.degree(o) for o, _, _ in ip)
 
 
 def _reduce_full(
-    sig: Signature,
+    pk: Packing,
     terms,
     G: list,
     leads: list,
-    order: TermOrder,
+    degrees: list,
     stats: GBStats,
     exact: bool = False,
-    lead_masks: list | None = None,
     divcache: dict | None = None,
 ) -> list:
-    """Full normal form of an integer term collection against G.
+    """Full normal form of (order int, coeff) terms against packed G.
 
-    Fraction free: the working polynomial p and the remainder r are integer
-    dicts at one scale; a step that multiplies p by u multiplies r too, and
-    the periodic content removal divides both.  By default the result is a
-    primitive integer term list; with exact=True it is r divided by the
-    scale, as (exp, Fraction) pairs, so that input - result lies in <G>.
+    leads holds the lead exponent ints of G and degrees their largest
+    total degrees.  Fraction free: the working polynomial p and the
+    remainder r are integer dicts keyed by order int, at one scale; a step
+    that multiplies p by u multiplies r too, and the periodic content
+    removal divides both.  By default the result is a primitive packed
+    term list; with exact=True it is r divided by the scale, as (order
+    int, Fraction) pairs, so that input - result lies in <G>.
     """
-    key = order.key
-    if lead_masks is None:
-        lead_masks = [_support_mask(le) for le in leads]
     if divcache is None:
         divcache = {}
-
-    def heapkey(e: tuple) -> tuple:
-        # min-heap on the reversed order: negate weight and degree, and
-        # undo the negation built into the grevlex component
-        k = key(e)
-        return (-k[0], -k[1], tuple(reversed(e)))
-
+    guards, low, shift = pk.guards, pk.low, pk.width + 1
     p: dict = {}
-    heap: list = []
-    for e, c in terms:
-        nc = p.get(e, 0) + c
+    for o, c in terms:
+        nc = p.get(o, 0) + c
         if nc:
-            p[e] = nc
+            p[o] = nc
         else:
-            p.pop(e, None)
-    for e in p:
-        heapq.heappush(heap, (heapkey(e), e))
+            p.pop(o, None)
+    # a min-heap of negated order ints pops the largest term first
+    heap = [-o for o in p]
+    heapq.heapify(heap)
     scale = Fraction(1)
     # a step only adds terms below the one it reduces, so terms reach r in
     # descending order
     r: dict = {}
     steps = 0
     while heap:
-        _, e = heapq.heappop(heap)
-        c = p.pop(e, 0)
+        o = -heapq.heappop(heap)
+        c = p.pop(o, 0)
         if not c:
             continue
-        # divisor lookup: a positive hit stays valid as the basis grows and
-        # is kept as (hit,); a miss only needs the elements added since it
-        # was recorded, and is kept as (None, len(leads), support mask), so
-        # each exponent builds its mask once; the mask screens out most
-        # candidates with one int op
-        ent = divcache.get(e)
-        if ent is not None and ent[0] is not None:
-            hit = ent[0]
-        else:
-            start, mask = (0, _support_mask(e)) if ent is None else ent[1:]
-            em = ~mask
-            hit = None
+        lo = o & low
+        e = lo - ((lo << shift) & low)  # pk.exp_of(o)
+        # divisor lookup: a hit stays valid as the basis grows and is kept
+        # as its index; a miss only needs the elements added since it was
+        # recorded, and is kept as ~len(leads)
+        hit = divcache.get(o)
+        if hit is None or hit < 0:
+            start = 0 if hit is None else ~hit
+            hit = ~len(leads)
             for i in range(start, len(leads)):
-                if lead_masks[i] & em:
-                    continue
-                if _divides(leads[i], e):
+                if not (e - leads[i]) & guards:
                     hit = i
                     break
-            divcache[e] = (hit,) if hit is not None else (None, len(leads), mask)
-        if hit is None:
-            r[e] = c
-            continue
+            divcache[o] = hit
+            if hit < 0:
+                r[o] = c
+                continue
         stats.reductions += 1
         steps += 1
         if steps % 64 == 0:
             _check_deadline()
         g = G[hit]
-        le, lc = g[0]
+        lo, le, lc = g[0]
         d = gcd(c, lc)
         u, mult = lc // d, c // d
         if u != 1:
@@ -297,18 +324,17 @@ def _reduce_full(
             for k in r:
                 r[k] *= u
             scale *= u
-        mexp = tuple(a - b for a, b in zip(e, le))
-        prod = mono_mul(sig, mexp, g)
-        for pe, pc in prod.items():
-            if pe == e:
+        prod = mono_mul(pk, o - lo, e - le, g, degrees[hit])
+        for po, pc in prod.items():
+            if po == o:
                 continue  # cancelled by construction
-            nc = p.get(pe, 0) - mult * pc
+            nc = p.get(po, 0) - mult * pc
             if nc:
-                if pe not in p:
-                    heapq.heappush(heap, (heapkey(pe), pe))
-                p[pe] = nc
+                if po not in p:
+                    heapq.heappush(heap, -po)
+                p[po] = nc
             else:
-                p.pop(pe, None)
+                p.pop(po, None)
         if steps % 32 == 0 and p:
             g0 = 0
             for v in itertools.chain(p.values(), r.values()):
@@ -324,30 +350,26 @@ def _reduce_full(
     if not r:
         return []
     if exact:
-        return [(e, c / scale) for e, c in r.items()]
+        return [(o, c / scale) for o, c in r.items()]
     r = _content_normalize(r, next(iter(r)))
     for v in r.values():
         stats.note_coeff(v)
-    return list(r.items())
+    return [(o, pk.exp_of(o), c) for o, c in r.items()]
 
 
-def _product_criterion(sig: Signature, lf: int, sf: int, lg: int, sg: int) -> bool:
+def _product_criterion(pk: Packing, lf: int, sf: int, lg: int, sg: int) -> bool:
     """True when the S-pair of f and g reduces to zero by the product criterion.
 
-    lf, lg are the support masks of the leads of f and g; sf, sg those of
-    the whole elements.  The commutative argument, S(f, g) = tail(f) g -
-    tail(g) f, needs coprime leads and fg = gf; the latter holds when no
-    differential of one element meets its variable in the other.  Coprime
-    leads alone do not suffice: Dx and t^2 + x have coprime leads, but
-    their S-pair is -(x*Dx + 1), whose normal form is 1.
+    lf, lg are the supports (`Packing.support`) of the leads of f and g;
+    sf, sg those of the whole elements.  The commutative argument, S(f, g)
+    = tail(f) g - tail(g) f, needs coprime leads and fg = gf; the latter
+    holds when no differential of one element meets its variable in the
+    other.  Coprime leads alone do not suffice: Dx and t^2 + x have coprime
+    leads, but their S-pair is -(x*Dx + 1), whose normal form is 1.
     """
-    nr = sig.n + sig.r
-    var_bits = (1 << nr) - 1
-    return not (lf & lg or (sf >> nr) & sg & var_bits or (sg >> nr) & sf & var_bits)
-
-
-def _lcm_exp(a: tuple, b: tuple) -> tuple:
-    return tuple(x if x > y else y for x, y in zip(a, b))
+    shift = pk.nr * (pk.width + 1)
+    var = pk.var_guards
+    return not (lf & lg or (sf >> shift) & sg & var or (sg >> shift) & sf & var)
 
 
 def buchberger_ipolys(
@@ -370,12 +392,11 @@ def buchberger_ipolys(
     return _buchberger(sig, gens, order, sugar)
 
 
-def _degree(ip: list) -> int:
-    return max(sum(e) for e, _ in ip)
-
-
 def _buchberger(sig: Signature, gens: list, order: TermOrder, sugar: bool) -> tuple:
     """The Buchberger loop behind `buchberger_ipolys`.
+
+    Takes and returns integer term lists with exponent tuples; the loop
+    itself runs on their packed form (`_packed`).
 
     Pairs are pruned once, when an element is added, by the update of
     Gebauer and Moeller (JSC 6, 1988): criterion B on the open pairs, then
@@ -395,154 +416,181 @@ def _buchberger(sig: Signature, gens: list, order: TermOrder, sugar: bool) -> tu
     picks one of the two; `buchberger_ipolys` derives it from the order.
     """
     _check_deadline()
-    stats = GBStats()
     t0 = time.monotonic()
-    key = order.key
+    reduced, stats = _packed(
+        sig, order, gens, lambda pk, packed: _buchberger_packed(pk, packed, sugar)
+    )
+    stats.millis += int((time.monotonic() - t0) * 1000)
+    _REQUEST.get()[0].merge(stats)
+    return reduced, stats
+
+
+def _buchberger_packed(pk: Packing, gens: list, sugar: bool) -> tuple:
+    stats = GBStats()
+    guards = pk.guards
     G: list = []
-    leads: list = []
-    lead_masks: list = []
-    supports: list = []  # support masks of the whole elements
+    leads: list = []  # lead exponent ints
+    degrees: list = []  # largest total degree of each element
+    lead_supports: list = []
+    supports: list = []  # supports of the whole elements
     sugars: list = []  # sugar of each element
     divcache: dict = {}
     active: list = []  # indices of the elements that still form pairs
-    heap: list = []  # (prio, i, j, lcm) of the open pairs
-
-    def prio(i: int, h: int, lcm: tuple):
-        if not sugar:
-            return key(lcm)
-        d = sum(lcm)
-        s = max(
-            sugars[i] + d - sum(leads[i]), sugars[h] + d - sum(leads[h])
-        )
-        return (s, key(lcm))
+    heap: list = []  # (prio, i, j, lcm order int, lcm exponent int)
 
     def add_element(ip: list, sug: int):
         h = len(G)
-        lh = ip[0][0]
-        sug = max(sug, _degree(ip))
-        mh = _support_mask(lh)
+        lo, lh, _ = ip[0]
+        dh = pk.degree(lo)
+        deg = _degree(pk, ip)
+        sug = max(sug, deg)
         # criterion B: lead(h) divides the lcm of an open pair (i, j) that
         # differs from the lcms of (i, h) and (j, h)
         kept = [
             pair
             for pair in heap
-            if not (
-                _divides(lh, pair[3])
-                and _lcm_exp(leads[pair[1]], lh) != pair[3]
-                and _lcm_exp(leads[pair[2]], lh) != pair[3]
-            )
+            if (pair[4] - lh) & guards
+            or pk.lcm(leads[pair[1]], lh) == pair[4]
+            or pk.lcm(leads[pair[2]], lh) == pair[4]
         ]
         if len(kept) < len(heap):
             stats.pruned_chain += len(heap) - len(kept)
             heap[:] = kept
             heapq.heapify(heap)
+        mh = pk.support(lh)
         sh = 0
-        for e, _ in ip:
-            sh |= _support_mask(e)
+        for _, e, _ in ip:
+            sh |= e
+        sh = pk.support(sh)
         new = [
             (
-                _lcm_exp(leads[i], lh),
+                pk.lcm(leads[i], lh),
                 i,
-                _product_criterion(sig, lead_masks[i], supports[i], mh, sh),
+                _product_criterion(pk, lead_supports[i], supports[i], mh, sh),
             )
             for i in active
         ]
         # criterion M: drop an lcm that another new lcm properly divides;
-        # by ascending degree, only a minimal lcm found so far can
-        minimal: dict = {}
-        for lcm in sorted({lcm for lcm, _, _ in new}, key=sum):
-            m = _support_mask(lcm)
-            if not any(
-                om & ~m == 0 and _divides(o, lcm) for o, om in minimal.items()
-            ):
-                minimal[lcm] = m
+        # a proper divisor comes first in the term order, so only a
+        # minimal lcm found so far can
+        lcm_orders = {lcm: pk.order(lcm) for lcm, _, _ in new}
+        minimal: set = set()
+        for lcm in sorted(lcm_orders, key=lcm_orders.get):
+            if not any(not (lcm - m) & guards for m in minimal):
+                minimal.add(lcm)
         # criterion F: one pair per lcm, and none for an lcm where one pair
         # meets the product criterion
         by_product = {lcm for lcm, _, prod in new if prod}
         G.append(ip)
         leads.append(lh)
-        lead_masks.append(mh)
+        degrees.append(deg)
+        lead_supports.append(mh)
         supports.append(sh)
         sugars.append(sug)
         for lcm, i, prod in new:
             if prod:
                 stats.pruned_product += 1
             elif lcm in minimal and lcm not in by_product:
-                del minimal[lcm]
-                heapq.heappush(heap, (prio(i, h, lcm), i, h, lcm))
+                minimal.discard(lcm)
+                lo = lcm_orders[lcm]
+                if sugar:
+                    d = pk.degree(lo)
+                    li = pk.degree(G[i][0][0])
+                    prio = (max(sugars[i] + d - li, sug + d - dh), lo)
+                else:
+                    prio = lo
+                heapq.heappush(heap, (prio, i, h, lo, lcm))
             else:
                 stats.pruned_chain += 1
-        active[:] = [i for i in active if not _divides(lh, leads[i])]
+        active[:] = [i for i in active if (leads[i] - lh) & guards]
         active.append(h)
 
-    for ip in sorted((g for g in gens if g), key=lambda g: key(g[0][0])):
+    for ip in sorted((g for g in gens if g), key=lambda g: g[0][0]):
         nf = _reduce_full(
-            sig, ip, G, leads, order, stats,
-            lead_masks=lead_masks, divcache=divcache,
+            pk, [(o, c) for o, _, c in ip], G, leads, degrees, stats,
+            divcache=divcache,
         )
         if nf:
-            add_element(nf, _degree(ip))
+            add_element(nf, _degree(pk, ip))
 
     while heap:
-        p, i, j, lcm = heapq.heappop(heap)
+        prio, i, j, lo, lcm = heapq.heappop(heap)
         stats.spairs += 1
         _check_deadline()
-        sp = _spair(sig, G[i], G[j], lcm)
-        nf = _reduce_full(
-            sig, sp, G, leads, order, stats,
-            lead_masks=lead_masks, divcache=divcache,
-        )
+        sp = _spair(pk, G[i], G[j], lo, lcm, degrees[i], degrees[j])
+        before = stats.reductions
+        nf = _reduce_full(pk, sp, G, leads, degrees, stats, divcache=divcache)
         if nf:
-            add_element(nf, p[0] if sugar else 0)
+            add_element(nf, prio[0] if sugar else 0)
         else:
             stats.zero_spairs += 1
+            stats.zero_steps += stats.reductions - before
 
-    reduced = interreduce(sig, G, order, stats)
-    stats.millis += int((time.monotonic() - t0) * 1000)
-    _REQUEST.get()[0].merge(stats)
-    return reduced, stats
+    reduced = _interreduce(pk, G, stats)
+    return [_unpack(pk, g) for g in reduced], stats
 
 
-def _spair(sig: Signature, g1: list, g2: list, lcm: tuple) -> list:
-    (e1, c1), (e2, c2) = g1[0], g2[0]
+def _spair(
+    pk: Packing, g1: list, g2: list, lo: int, lcm: int, deg1: int, deg2: int
+) -> list:
+    """(order int, coeff) terms of the S-polynomial of g1 and g2, whose
+    leads have the lcm with order int lo and exponent int lcm."""
+    (o1, e1, c1), (o2, e2, c2) = g1[0], g2[0]
     d = gcd(c1, c2)
-    m1 = tuple(a - b for a, b in zip(lcm, e1))
-    m2 = tuple(a - b for a, b in zip(lcm, e2))
-    p1 = mono_mul(sig, m1, g1)
-    p2 = mono_mul(sig, m2, g2)
+    p1 = mono_mul(pk, lo - o1, lcm - e1, g1, deg1)
+    p2 = mono_mul(pk, lo - o2, lcm - e2, g2, deg2)
     u1, u2 = c2 // d, c1 // d
-    out = []
-    for e, c in p1.items():
-        out.append((e, u1 * c))
-    for e, c in p2.items():
-        out.append((e, -u2 * c))
+    out = [(o, u1 * c) for o, c in p1.items()]
+    out += [(o, -u2 * c) for o, c in p2.items()]
     return out
 
 
-def interreduce(
-    sig: Signature,
-    G: list,
-    order: TermOrder,
-    stats: GBStats | None = None,
-) -> list:
-    """Auto-reduce a Groebner basis to its unique primitive reduced form."""
-    stats = stats if stats is not None else GBStats()
+def _interreduce(pk: Packing, G: list, stats: GBStats) -> list:
+    """Auto-reduce a packed Groebner basis to its unique primitive reduced
+    form, sorted ascending by lead."""
+    guards = pk.guards
     # minimalize: drop leads divisible by another lead
-    items = sorted(G, key=lambda g: order.key(g[0][0]))
     minimal: list = []
-    for g in items:
-        le = g[0][0]
-        if any(_divides(h[0][0], le) for h in minimal):
+    for g in sorted(G, key=lambda g: g[0][0]):
+        le = g[0][1]
+        if any(not (le - h[0][1]) & guards for h in minimal):
             continue
         minimal.append(g)
     # tail-reduce each against the others; no other lead divides its lead,
     # so it keeps that lead and its place in the ascending order
+    leads = [g[0][1] for g in minimal]
+    degrees = [_degree(pk, g) for g in minimal]
     out: list = []
     for i, g in enumerate(minimal):
-        others = minimal[:i] + minimal[i + 1 :]
-        leads = [h[0][0] for h in others]
-        out.append(_reduce_full(sig, g, others, leads, order, stats))
+        out.append(
+            _reduce_full(
+                pk,
+                [(o, c) for o, _, c in g],
+                minimal[:i] + minimal[i + 1 :],
+                leads[:i] + leads[i + 1 :],
+                degrees[:i] + degrees[i + 1 :],
+                stats,
+            )
+        )
     return out
+
+
+def _remainder(
+    sig: Signature, order: TermOrder, ip: list, basis: list, exact: bool = False
+) -> list:
+    """`_reduce_full` of the integer term list ip against basis, unpacked:
+    primitive (exp, int) pairs, or with exact=True (exp, Fraction) pairs
+    such that ip - result lies in <basis>."""
+
+    def run(pk: Packing, polys: list) -> list:
+        ip, *G = polys
+        nf = _reduce_full(
+            pk, [(o, c) for o, _, c in ip], G, [g[0][1] for g in G],
+            [_degree(pk, g) for g in G], GBStats(), exact=exact,
+        )
+        return [(pk.unpack(pk.exp_of(t[0])), t[-1]) for t in nf]
+
+    return _packed(sig, order, [ip] + basis, run)
 
 
 def spairs_reduce_to_zero(sig: Signature, G: list, order: TermOrder) -> bool:
@@ -551,15 +599,20 @@ def spairs_reduce_to_zero(sig: Signature, G: list, order: TermOrder) -> bool:
     Checks all pairs with no pruning criteria, so it also validates the
     criteria used during the computation.
     """
-    leads = [g[0][0] for g in G]
-    stats = GBStats()
-    for i in range(len(G)):
-        for j in range(i + 1, len(G)):
-            lcm = _lcm_exp(leads[i], leads[j])
-            sp = _spair(sig, G[i], G[j], lcm)
-            if _reduce_full(sig, sp, G, leads, order, stats):
-                return False
-    return True
+
+    def run(pk: Packing, G: list) -> bool:
+        leads = [g[0][1] for g in G]
+        degrees = [_degree(pk, g) for g in G]
+        stats = GBStats()
+        for i in range(len(G)):
+            for j in range(i + 1, len(G)):
+                lcm = pk.lcm(leads[i], leads[j])
+                sp = _spair(pk, G[i], G[j], pk.order(lcm), lcm, degrees[i], degrees[j])
+                if _reduce_full(pk, sp, G, leads, degrees, stats):
+                    return False
+        return True
+
+    return _packed(sig, order, G, run)
 
 
 # ---------------------------------------------------------------------------
@@ -621,11 +674,9 @@ def normal_form(
     if P.is_zero():
         return P
     sig = P.sig
-    iG = [to_ipoly(g, order) for g in G if not g.is_zero()]
-    leads = [g[0][0] for g in iG]
-    stats = GBStats()
     iP = to_ipoly(P, order)
-    nf = _reduce_full(sig, iP, iG, leads, order, stats, exact=True)
+    iG = [to_ipoly(g, order) for g in G if not g.is_zero()]
+    nf = _remainder(sig, order, iP, iG, exact=True)
     # to_ipoly rescaled P to a primitive representative; undo that.
     factor = P.terms[iP[0][0]] / iP[0][1]
     return WeylElement(sig, {e: c * factor for e, c in nf})
@@ -636,7 +687,12 @@ def reduced_gb(G: list[WeylElement], order: TermOrder) -> list[WeylElement]:
     if not G:
         return []
     sig = G[0].sig
-    basis = interreduce(sig, [to_ipoly(g, order) for g in G if not g.is_zero()], order)
+    basis = _packed(
+        sig,
+        order,
+        [to_ipoly(g, order) for g in G if not g.is_zero()],
+        lambda pk, P: [_unpack(pk, g) for g in _interreduce(pk, P, GBStats())],
+    )
     return [from_ipoly(sig, g) for g in basis]
 
 
@@ -740,7 +796,7 @@ def exact_divide(p: WeylElement, g: WeylElement) -> WeylElement:
     quot: dict = {}
     while rem:
         e = max(rem, key=order.key)
-        if not _divides(le, e):
+        if not all(map(operator.le, le, e)):
             raise ZeroDivisor(f"{g} does not divide {p}")
         q = rem[e] / glead
         me = tuple(a - b for a, b in zip(e, le))
@@ -793,12 +849,7 @@ def member(h: WeylElement, I: LeftIdeal, order: TermOrder | None = None) -> bool
         return False
     if order is None:
         order = TermOrder.grevlex(I.sig)
-    basis = I.groebner_ipolys(order)
-    leads = [g[0][0] for g in basis]
-    nf = _reduce_full(
-        I.sig, to_ipoly(h, order), basis, leads, order, GBStats()
-    )
-    return not nf
+    return not _remainder(I.sig, order, to_ipoly(h, order), I.groebner_ipolys(order))
 
 
 def ideal_equal(I: LeftIdeal, J: LeftIdeal) -> bool:

@@ -4,7 +4,7 @@ Grammar (whitespace ignored, multiplication always explicit):
 
     expr    ::= ['-'] term (('+' | '-') term)*
     term    ::= factor ('*' factor)*
-    factor  ::= base ['^' uint]
+    factor  ::= base ['^' uint]        (uint at most MAX_EXPONENT)
     base    ::= coefficient | variable | '(' expr ')'
     coefficient ::= int | int '/' int
 
@@ -19,6 +19,9 @@ from fractions import Fraction
 
 from .errors import ParseError, UnknownVariable
 from .weyl import Signature, WeylElement
+
+# the largest exponent accepted after '^'; a larger one is a ParseError
+MAX_EXPONENT = 1000
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([()+\-*/^]))")
 
@@ -113,9 +116,16 @@ class _Parser:
             kind, exp, pos = self.next()
             if kind != "num":
                 raise ParseError("exponent must be a nonnegative integer", pos)
+            if exp > MAX_EXPONENT:
+                raise ParseError(f"exponent exceeds the limit {MAX_EXPONENT}", pos)
+            # repeated squaring
             out = WeylElement.one(self.sig)
-            for _ in range(exp):
-                out = out * base
+            while exp:
+                if exp & 1:
+                    out = out * base
+                exp >>= 1
+                if exp:
+                    base = base * base
             return out
         return base
 

@@ -11,7 +11,10 @@ Multiplication uses the closed-form reordering identity
 
     D^a x^b = sum_k k! C(a,k) C(b,k) x^(b-k) D^(a-k)
 
-applied independently per variable/differential pair.
+applied independently per variable/differential pair.  Its one kernel,
+`mono_mul`, works on monomials packed into integers (`Packing`), as the
+Groebner core stores them; `WeylElement.__mul__` packs its operands and
+unpacks the product.
 """
 
 from __future__ import annotations
@@ -19,12 +22,12 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
-from operator import add
 
 from .errors import (
     NonGradedWeight,
     NotAPolynomial,
     NoTVariables,
+    PackingOverflow,
     SignatureMismatch,
     ZeroElement,
 )
@@ -160,6 +163,115 @@ class WeightVector:
         return f"WeightVector({', '.join(parts) or '0'})"
 
 
+class Packing:
+    """The monomials of one signature as two ints each, for one term order.
+
+    With N slots and fields of S = W + 1 bits, a monomial e is stored as
+
+    - its *exponent int*: slot i in bits [i*S, i*S + W), with a guard bit
+      at i*S + W that is zero in every stored monomial, so that a divides
+      b iff (b - a) & guards == 0 (a slot where a exceeds b borrows from
+      its guard bit);
+    - its *order int*: the weight sum(w_i e_i) above N fields, where field
+      k holds e_0 + ... + e_k.  From the top these are the total degree,
+      the degree less e_{N-1}, less e_{N-1} + e_{N-2}, and so on, so `<`
+      on order ints is the order of `TermOrder.key` (weight, degree,
+      reversed negated exponent).  Every field is linear in the exponent,
+      so the order int of a product is the sum of the factors' order ints,
+      and the packing is injective, so order ints also key dicts.
+
+    Every packed monomial has total degree at most `limit` = 2^(W-1) - 1,
+    so each field of a monomial, and of the sum or lcm of two, fits in W
+    bits without a carry.  `pack` and `mono_mul` check that bound before a
+    monomial could break it and raise `PackingOverflow`; the caller then
+    repacks with wider fields.  The weight field is the most significant
+    and needs no bound.
+    """
+
+    __slots__ = (
+        "nr", "width", "limit", "vmask", "shifts", "ones", "guards", "low",
+        "dshift", "wshift", "weight_masks", "diff_bits", "var_guards",
+        "pair_steps",
+    )
+
+    def __init__(self, sig: Signature, weights=None, bound: int = 0):
+        """Fields for monomials of total degree up to at least bound."""
+        n = sig.nslots
+        width = max(bound, 1).bit_length() + 1
+        step = width + 1
+        self.nr = nr = sig.n + sig.r
+        self.width = width
+        self.limit = (1 << (width - 1)) - 1
+        self.vmask = vmask = (1 << width) - 1
+        self.shifts = shifts = tuple(i * step for i in range(n))
+        self.ones = ones = sum(1 << sh for sh in shifts)
+        self.guards = ones << width
+        self.low = (1 << (n * step)) - 1
+        self.dshift = max(n - 1, 0) * step
+        self.wshift = n * step
+        by_weight: dict = {}
+        for sh, w in zip(shifts, weights or ()):
+            if w:
+                by_weight[w] = by_weight.get(w, 0) | vmask << sh
+        self.weight_masks = tuple(by_weight.items())
+        self.diff_bits = sum(vmask << sh for sh in shifts[nr : 2 * nr])
+        self.var_guards = sum(1 << (sh + width) for sh in shifts[:nr])
+        self.pair_steps = tuple(
+            self.order((1 << shifts[i]) + (1 << shifts[nr + i])) for i in range(nr)
+        )
+
+    def order(self, e: int) -> int:
+        """The order int of the monomial with exponent int e."""
+        ones, dshift, vmask = self.ones, self.dshift, self.vmask
+        o = (e * ones) & self.low
+        wt = 0
+        for w, mask in self.weight_masks:
+            wt += w * (((e & mask) * ones >> dshift) & vmask)
+        return o | wt << self.wshift if wt else o
+
+    def exp_of(self, o: int) -> int:
+        """The exponent int of the monomial with order int o."""
+        low = self.low
+        o &= low
+        return o - ((o << self.width + 1) & low)
+
+    def degree(self, o: int) -> int:
+        """Total degree from an order int."""
+        return (o >> self.dshift) & self.vmask
+
+    def lcm(self, a: int, b: int) -> int:
+        """The lcm of two exponent ints, slot by slot."""
+        ge = ((b | self.guards) - a) & self.guards  # guard set where b >= a
+        m = ge - (ge >> self.width)
+        return (b & m) | (a & ~m)
+
+    def support(self, e: int) -> int:
+        """The guard bits of the nonzero slots of e (an exponent int or an
+        OR of several)."""
+        return ((e | self.guards) - self.ones) & self.guards
+
+    def pack(self, exp: tuple) -> tuple[int, int]:
+        """(order int, exponent int) of an exponent tuple."""
+        if sum(exp) > self.limit:
+            raise PackingOverflow(f"degree {sum(exp)} exceeds {self.limit}")
+        e = 0
+        for v, sh in zip(exp, self.shifts):
+            e |= v << sh
+        return self.order(e), e
+
+    def unpack(self, e: int) -> tuple:
+        """The exponent tuple of an exponent int."""
+        vmask = self.vmask
+        return tuple((e >> sh) & vmask for sh in self.shifts)
+
+
+@lru_cache(maxsize=64)
+def _product_packing(sig: Signature, bound: int) -> Packing:
+    """The packing `WeylElement.__mul__` uses for a product of degree bound;
+    small products are many, and this spares each the setup."""
+    return Packing(sig, None, bound)
+
+
 @lru_cache(maxsize=None)
 def _reorder_coeffs(a: int, b: int) -> tuple[tuple[int, int], ...]:
     """The (k, c_k), k >= 1, of D^a x^b = x^b D^a + sum_k c_k x^(b-k) D^(a-k)."""
@@ -168,41 +280,48 @@ def _reorder_coeffs(a: int, b: int) -> tuple[tuple[int, int], ...]:
     )
 
 
-def mono_mul(sig: Signature, mexp: tuple, terms) -> dict:
-    """Normal-order product (monomial mexp) * (sum of (exp, coeff) terms).
+def mono_mul(pk: Packing, mo: int, me: int, terms, deg: int) -> dict:
+    """Normal-order product of a monomial and a sum of terms, packed by pk.
 
-    Returns an exp -> coeff dict without zero entries.  Only the pairs where
-    a differential of mexp meets the same variable in a term are expanded;
-    every other slot just adds exponents.
+    The monomial is given by its order int mo and exponent int me, the
+    terms as (order int, exponent int, coeff) triples of total degree at
+    most deg.  Returns an order int -> coeff dict without zero entries.
+    Only the pairs where a differential of the monomial meets the same
+    variable in a term are expanded: D^a x^b contributes c_k x^(b-k)
+    D^(a-k), whose order int is the product's less k times the order int
+    of x*D.  Raises PackingOverflow when a product could exceed pk's
+    degree limit.
     """
-    nr = sig.n + sig.r
-    diffs = [(i, a) for i, a in enumerate(mexp[nr : 2 * nr]) if a]
-    if not diffs:
+    if pk.degree(mo) + deg > pk.limit:
+        raise PackingOverflow(f"product degree exceeds {pk.limit}")
+    if not me & pk.diff_bits:
         # distinct exponents stay distinct, so nothing collides or cancels
-        return {tuple(map(add, mexp, e)): c for e, c in terms}
+        return {mo + o: c for o, _, c in terms}
+    vmask, shifts, nr = pk.vmask, pk.shifts, pk.nr
+    diffs = []
+    for i in range(nr):
+        a = (me >> shifts[nr + i]) & vmask
+        if a:
+            diffs.append((shifts[i], pk.pair_steps[i], a))
     out: dict = {}
-    for e, c in terms:
-        exp = tuple(map(add, mexp, e))
-        partial = [(c, exp)]
-        for i, a in diffs:
-            b = e[i]
+    for o, e, c in terms:
+        partial = [(c, mo + o)]
+        for sh, step, a in diffs:
+            b = (e >> sh) & vmask
             if not b:
                 continue
             nxt = []
-            for coeff, exp in partial:
-                nxt.append((coeff, exp))
+            for coeff, po in partial:
+                nxt.append((coeff, po))
                 for k, ck in _reorder_coeffs(a, b):
-                    le = list(exp)
-                    le[i] -= k
-                    le[nr + i] -= k
-                    nxt.append((coeff * ck, tuple(le)))
+                    nxt.append((coeff * ck, po - k * step))
             partial = nxt
-        for coeff, exp in partial:
-            nc = out.get(exp, 0) + coeff
+        for coeff, po in partial:
+            nc = out.get(po, 0) + coeff
             if nc:
-                out[exp] = nc
+                out[po] = nc
             else:
-                del out[exp]
+                del out[po]
     return out
 
 
@@ -268,7 +387,7 @@ class WeylElement:
     def total_degree(self) -> int:
         if not self.terms:
             return -1
-        return max(sum(e) for e in self.terms)
+        return max(map(sum, self.terms))
 
     def __eq__(self, other) -> bool:
         return (
@@ -311,16 +430,22 @@ class WeylElement:
 
     def __mul__(self, other: "WeylElement") -> "WeylElement":
         self._check(other)
+        if not self.terms or not other.terms:
+            return WeylElement.zero(self.sig)
+        deg = other.total_degree()
+        pk = _product_packing(self.sig, self.total_degree() + deg)
+        rhs = [pk.pack(e) + (c,) for e, c in other.terms.items()]
         out: dict = {}
-        rhs = other.terms.items()
         for e1, c1 in self.terms.items():
-            for exp, c in mono_mul(self.sig, e1, rhs).items():
-                nc = out.get(exp, 0) + c1 * c
+            for o, c in mono_mul(pk, *pk.pack(e1), rhs, deg).items():
+                nc = out.get(o, 0) + c1 * c
                 if nc:
-                    out[exp] = nc
+                    out[o] = nc
                 else:
-                    del out[exp]
-        return WeylElement(self.sig, out)
+                    del out[o]
+        return WeylElement(
+            self.sig, {pk.unpack(pk.exp_of(o)): c for o, c in out.items()}
+        )
 
     # -- weights --------------------------------------------------------------
 

@@ -66,7 +66,7 @@ def test_multiplier_json_roundtrip(capsys):
     stats = payload["stats"]
     assert set(stats) >= {
         "spairs", "pruned_chain", "pruned_product", "reductions",
-        "max_coeff_bits", "millis",
+        "max_coeff_bits", "millis", "zero_steps",
     }
 
 
@@ -151,6 +151,28 @@ def test_parse_error_exit_code(capsys):
         code, _, err = run_cli(capsys, *argv)
         assert code == 2, argv
         assert "parse error" in err, argv
+
+
+def test_huge_exponent_is_a_parse_error(capsys):
+    # rejected before any multiplication, so this returns at once
+    code, _, err = run_cli(
+        capsys, "bfunction", "--vars", "x", "--ideal", "x^99999999999999999999"
+    )
+    assert code == 2
+    assert "exponent exceeds the limit" in err
+
+
+@pytest.mark.parametrize("value", ["abc", "-5", "1.5"])
+def test_invalid_time_limit_is_a_usage_error(capsys, monkeypatch, value):
+    monkeypatch.setenv("MULTID_TIME_LIMIT_MS", value)
+    code, out, err = run_cli(capsys, "lct", "--vars", "x,y", "--ideal", "x^2,y^3")
+    assert code == 1
+    assert out == ""
+    assert "MULTID_TIME_LIMIT_MS" in err and repr(value) in err
+    # library callers get a ValueError that says the same
+    with pytest.raises(ValueError, match="MULTID_TIME_LIMIT_MS"):
+        with groebner.collect_stats():
+            pass
 
 
 def test_computation_error_exit_code(capsys):

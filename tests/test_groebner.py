@@ -460,11 +460,12 @@ def test_stats_counters_exposed():
     assert d["spairs"] >= 0
     assert 0 <= d["zero_spairs"] <= d["spairs"]
     assert d["reductions"] > 0
+    assert 0 <= d["zero_steps"] <= d["reductions"]
     assert d["max_coeff_bits"] >= 1
     # the leads x^2 and y^2 of the first two generators are coprime
     assert d["pruned_product"] >= 1
     assert d["pruned_chain"] >= 0
     assert set(d) >= {
         "spairs", "zero_spairs", "pruned_chain", "pruned_product", "reductions",
-        "max_coeff_bits", "millis",
+        "max_coeff_bits", "millis", "zero_steps",
     }

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from multid.errors import ParseError, UnknownVariable
-from multid.parsing import parse_polynomial
+from multid.parsing import MAX_EXPONENT, parse_polynomial
 from multid.pipeline import polynomial_ring
 from multid.weyl import WeylElement
 
@@ -65,3 +65,18 @@ def test_trailing_garbage_rejected():
         parse_polynomial("x+", XY)
     with pytest.raises(ParseError):
         parse_polynomial("x)", XY)
+
+
+def test_exponent_limit():
+    x = gen("x")
+    big = parse_polynomial(f"x^{MAX_EXPONENT}", XY)
+    assert big.total_degree() == MAX_EXPONENT and big.terms[(MAX_EXPONENT, 0)] == 1
+    with pytest.raises(ParseError, match="exponent"):
+        parse_polynomial(f"x^{MAX_EXPONENT + 1}", XY)
+    # powers by repeated squaring agree with repeated products
+    p = parse_polynomial("x+2*y", XY)
+    expect = WeylElement.one(p.sig)
+    for _ in range(13):
+        expect = expect * p
+    assert parse_polynomial("(x+2*y)^13", XY) == expect
+    assert parse_polynomial("x^0", XY) == WeylElement.one(x.sig)
