@@ -1,10 +1,20 @@
 """Left Groebner bases in the Weyl algebra (Buchberger's algorithm).
 
-Orders are weight vectors (all slot weights nonnegative, so every order used
-here is a term order) refined by graded reverse lexicographic comparison on
-the full exponent tuple.  Orders with negative weights, needed for initial
-ideals under the V-filtration weight, are handled in `initial_ideal` via
-weight homogenization instead of a direct non-term-order computation.
+Orders are lexicographic in weight rows (all slot weights nonnegative, so
+every order used here is a term order), refined by graded reverse
+lexicographic comparison on the full exponent tuple.  Orders with negative
+weights, needed for initial ideals under the V-filtration weight, are
+handled in `initial_ideal` via weight homogenization instead of a direct
+non-term-order computation.
+
+Most orders have one row.  I_{f,1} is computed under a block order with
+two (`eliminate` with a second target): the top row eliminates u1 and u2,
+the second weighs t, Dx and Dt, the slots the restriction to C[x,s] behind
+J_f(m) and I_2 eliminates next (Cox, Little, O'Shea, "Ideals, Varieties,
+and Algorithms", 3.1).  The u-free part of that reduced basis is the
+reduced basis of I_{f,1} under the order of the restriction, so that run
+starts from a Groebner basis of I_{f,1}; the reduced bases after it are
+unique, so they stay the same.
 
 Callers see integer term lists: (exponent tuple, int) pairs, primitive
 and sorted descending.  The Buchberger loop, the reducer, the S-pairs and
@@ -20,17 +30,19 @@ PackingOverflow before any field carries and starts again with wider
 fields, so it never returns a wrong basis.  All reduction arithmetic is
 fraction free.
 
-One Buchberger loop computes every basis, and the term order picks its pair
-selection.  An order that weighs a slot of the Weyl part (an x, t, Dx or Dt)
-eliminates Weyl slots, as the restrictions to C[x,s] behind J_f(m) and I_2
-do: those runs use normal selection, since sugar needed more S-pairs and
-reductions on them.  Every other order weighs central slots or none: plain
-grevlex, and the eliminations of u1 and u2 (I_{f,1}, `initial_ideal`), of
-u (`intersect`), of y (`saturate`) and of x or s in C[x,s].  Those runs
+One Buchberger loop computes every basis, and the top row of the term
+order picks its pair selection.  A top row that weighs a slot of the Weyl
+part (an x, t, Dx or Dt) eliminates Weyl slots, as the restrictions to
+C[x,s] behind J_f(m) and I_2 do: those runs use normal selection, since
+sugar needed more S-pairs and reductions on them.  Every other top row
+weighs central slots or none: plain grevlex, and the eliminations of u1
+and u2 (I_{f,1}, whose lower row weighs Weyl slots, and `initial_ideal`),
+of u (`intersect`), of y (`saturate`) and of x or s in C[x,s].  Those runs
 select by sugar, which on the weight homogenizations behind I_{f,1} and
 `initial_ideal` needed a fifth to two thirds of the S-pairs of normal
-selection (ROADMAP item 1 has the numbers).  The reduced basis is the same
-under either selection.
+selection (ROADMAP item 1 has the numbers); on I_{f,1}'s block order normal
+selection is far worse still.  The reduced basis is the same under either
+selection.
 """
 
 from __future__ import annotations
@@ -136,7 +148,8 @@ def collect_stats():
         _REQUEST.reset(token)
 
 
-def _check_deadline():
+def check_deadline():
+    """Raise ComputationTimeout once the enclosing block's budget is spent."""
     request = _REQUEST.get()
     deadline = request[1] if request is not None else None
     if deadline is not None and time.monotonic() > deadline:
@@ -146,34 +159,39 @@ def _check_deadline():
 
 
 class TermOrder:
-    """Weight-first order with graded reverse lex tiebreak.
+    """Lexicographic in weight rows, with graded reverse lex tiebreak.
 
-    All slot weights must be nonnegative (a genuine term order); elimination
-    orders are realized by weighting the eliminated block positively.
-    `key` is the reference definition; the Buchberger loop compares the
-    order ints of `weyl.Packing`, which order monomials the same way.
+    rows are weight vectors, top row first; without one, the order is
+    plain grevlex.  All slot weights must be nonnegative (a genuine term
+    order); elimination orders are realized by weighting the eliminated
+    block positively, and a block order by one row per block.  `weights`
+    is the top row, the one that picks the pair selection.  `key` is the
+    reference definition; the Buchberger loop compares the order ints of
+    `weyl.Packing`, which order monomials the same way.
     """
 
-    __slots__ = ("sig", "weights")
+    __slots__ = ("sig", "rows")
 
-    def __init__(self, sig: Signature, weights=None):
-        if weights is None:
-            weights = (0,) * sig.nslots
-        weights = tuple(int(w) for w in weights)
-        if len(weights) != sig.nslots:
+    def __init__(self, sig: Signature, *rows):
+        rows = tuple(tuple(int(w) for w in row) for row in rows)
+        if any(len(row) != sig.nslots for row in rows):
             raise ValueError("weight length does not match signature")
-        if any(w < 0 for w in weights):
+        if any(w < 0 for row in rows for w in row):
             raise ValueError("term orders require nonnegative slot weights")
         self.sig = sig
-        self.weights = weights
+        self.rows = rows or ((0,) * sig.nslots,)
+
+    @property
+    def weights(self) -> tuple:
+        return self.rows[0]
 
     @staticmethod
     def grevlex(sig: Signature) -> "TermOrder":
         return TermOrder(sig)
 
     def key(self, exp: tuple) -> tuple:
-        wt = sum(w * e for w, e in zip(self.weights, exp) if e)
-        return (wt, sum(exp), tuple(-e for e in reversed(exp)))
+        wts = tuple(sum(w * e for w, e in zip(row, exp) if e) for row in self.rows)
+        return (wts, sum(exp), tuple(-e for e in reversed(exp)))
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +252,7 @@ def _packed(sig: Signature, order: TermOrder, polys: list, run):
     deg = max((sum(e) for ip in polys for e, _ in ip), default=0)
     bound = _HEADROOM * max(deg, 1)
     while True:
-        pk = Packing(sig, order.weights, bound)
+        pk = Packing(sig, order.rows, bound)
         packed = [[pk.pack(e) + (c,) for e, c in ip] for ip in polys]
         try:
             return run(pk, packed)
@@ -313,7 +331,7 @@ def _reduce_full(
         stats.reductions += 1
         steps += 1
         if steps % 64 == 0:
-            _check_deadline()
+            check_deadline()
         g = G[hit]
         lo, le, lc = g[0]
         d = gcd(c, lc)
@@ -380,7 +398,8 @@ def buchberger_ipolys(
     Input and output are integer term lists; the output is the unique
     reduced basis (primitive integer form, positive leading coefficients,
     sorted ascending by leading exponent).  Pairs are selected by sugar
-    unless the order weighs a Weyl slot, as the module docstring sets out.
+    unless the order's top row weighs a Weyl slot, as the module docstring
+    sets out.
     The run's GBStats come back with it and are added to the enclosing
     `collect_stats` block; a run outside any block is its own block, with
     its own time budget.
@@ -415,7 +434,7 @@ def _buchberger(sig: Signature, gens: list, order: TermOrder, sugar: bool) -> tu
     holds in the Weyl algebra too, since deg(m g) <= deg m + deg g.  sugar
     picks one of the two; `buchberger_ipolys` derives it from the order.
     """
-    _check_deadline()
+    check_deadline()
     t0 = time.monotonic()
     reduced, stats = _packed(
         sig, order, gens, lambda pk, packed: _buchberger_packed(pk, packed, sugar)
@@ -506,6 +525,7 @@ def _buchberger_packed(pk: Packing, gens: list, sugar: bool) -> tuple:
         active.append(h)
 
     for ip in sorted((g for g in gens if g), key=lambda g: g[0][0]):
+        check_deadline()
         nf = _reduce_full(
             pk, [(o, c) for o, _, c in ip], G, leads, degrees, stats,
             divcache=divcache,
@@ -516,7 +536,7 @@ def _buchberger_packed(pk: Packing, gens: list, sugar: bool) -> tuple:
     while heap:
         prio, i, j, lo, lcm = heapq.heappop(heap)
         stats.spairs += 1
-        _check_deadline()
+        check_deadline()
         sp = _spair(pk, G[i], G[j], lo, lcm, degrees[i], degrees[j])
         before = stats.reductions
         nf = _reduce_full(pk, sp, G, leads, degrees, stats, divcache=divcache)
@@ -638,13 +658,13 @@ class LeftIdeal:
         return not self.generators
 
     def groebner_ipolys(self, order: TermOrder) -> list:
-        # keyed on the weights alone: they also fix the pair selection
-        got = self._cache.get(order.weights)
+        # keyed on the weight rows alone: they also fix the pair selection
+        got = self._cache.get(order.rows)
         if got is not None:
             return got
         gens = [to_ipoly(g, order) for g in self.generators]
         basis, _ = buchberger_ipolys(self.sig, gens, order)
-        self._cache[order.weights] = basis
+        self._cache[order.rows] = basis
         return basis
 
     def groebner(self, order: TermOrder | None = None) -> list[WeylElement]:
@@ -705,16 +725,36 @@ def _fresh_name(sig: Signature, base: str) -> str:
     return name
 
 
-def eliminate(I: LeftIdeal, target: Signature) -> LeftIdeal:
+def _elimination_order(
+    sig: Signature, target: Signature, then: Signature | None = None
+) -> TermOrder:
+    """The order `eliminate(I, target, then)` computes its basis under."""
+    keep = {sig.slot_of(n) for n in target.slot_names}
+    rows = [[0 if i in keep else 1 for i in range(sig.nslots)]]
+    if then is not None:
+        last = {sig.slot_of(n) for n in then.slot_names}
+        rows.append([int(i in keep and i not in last) for i in range(sig.nslots)])
+    return TermOrder(sig, *rows)
+
+
+def eliminate(
+    I: LeftIdeal, target: Signature, then: Signature | None = None
+) -> LeftIdeal:
     """I cap target: the restriction of I to the subalgebra on target's names.
 
     Realized by a Groebner basis under the weight vector that is 1 on every
     slot absent from target and 0 on the others; its elements free of the
     eliminated slots are the returned generators, re-expressed in target.
+
+    then, a signature whose names lie in target, adds a second weight row,
+    1 on the slots of target absent from then.  The returned generators
+    are then the reduced basis of I cap target under that row and grevlex:
+    the order of a later elimination down to then, which starts from a
+    Groebner basis.
     """
     sig = I.sig
     keep = {sig.slot_of(n) for n in target.slot_names}
-    order = TermOrder(sig, [0 if i in keep else 1 for i in range(sig.nslots)])
+    order = _elimination_order(sig, target, then)
     basis = [from_ipoly(sig, g) for g in I.groebner_ipolys(order)]
     return LeftIdeal(
         target, [g.project(target) for g in basis if g.support_slots() <= keep]

@@ -109,18 +109,18 @@ def multiplier_ideal_ideal(input: IdealInput, c: Fraction) -> LeftIdeal:
     if c < 0:
         raise ValueError("c must be nonnegative")
     psig = polynomial_ring(input.variables)
-    if c == 0:
-        return LeftIdeal(psig, [WeylElement.one(psig)])
+    # J(a^c) = a J(a^{c-1}) for c >= B, applied k times down to c - k < B
     B = _recursion_bound(input)
-    if c >= B:
-        prev = multiplier_ideal_ideal(input, c - 1)
-        prods = [fi * g for fi in input.f for g in prev.generators]
-        return LeftIdeal(psig, prods)
-    lct_val = lct(input)
-    if c < lct_val:
-        return LeftIdeal(psig, [WeylElement.one(psig)])
-    m = _level_for(c, lct_val)
-    return _multiplier_ideal_direct(input.with_m(m), c)
+    k = floor(c - B) + 1 if c >= B else 0
+    c -= k
+    J = LeftIdeal(psig, [WeylElement.one(psig)])
+    if c > 0:
+        lct_val = lct(input)
+        if c >= lct_val:
+            J = _multiplier_ideal_direct(input.with_m(_level_for(c, lct_val)), c)
+    for _ in range(k):
+        J = LeftIdeal(psig, [fi * g for fi in input.f for g in J.generators])
+    return J
 
 
 def multiplier_ideal(input: IdealInput, c: Fraction) -> list[WeylElement]:

@@ -20,11 +20,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from itertools import combinations_with_replacement
 
 from .errors import UnsupportedM, ZeroDivisor
 from .groebner import (
     LeftIdeal,
+    check_deadline,
     colon,
     eliminate,
     exact_divide,
@@ -171,20 +171,48 @@ def build_If(input: IdealInput) -> LeftIdeal:
 
 
 def compute_If1(input: IdealInput) -> LeftIdeal:
-    """I_{f,1} = I_f cap D_Y = (Ann prod f_i^{s_i})^*, memoised per f."""
+    """I_{f,1} = I_f cap D_Y = (Ann prod f_i^{s_i})^*, memoised per f.
+
+    Its generators are the reduced basis under the order that
+    `_adjoin_s_and_restrict` eliminates t, Dx and Dt with, so the J_f(m)
+    and I_2 runs start from a Groebner basis of I_{f,1}.
+    """
     return input.memoized(
-        ("If1",), lambda: eliminate(build_If(input), input.weyl_sig())
+        ("If1",),
+        lambda: eliminate(build_If(input), input.weyl_sig(), input.poly_sig()),
     )
 
 
 def ideal_power_products(input: IdealInput, m: int) -> list[WeylElement]:
-    """All m-fold products of the f_i: a generating set of a^m."""
+    """All m-fold products of the f_i: a generating set of a^m.
+
+    In the order of combinations_with_replacement(input.f, m).  Each
+    product is its prefix's product times a power of its last factor, and
+    each prefix and power is formed once.  The request's time budget is
+    checked at every multiplication.
+    """
+    f = input.f
+    one = WeylElement.one(input.poly_sig())
+    powers = []  # powers[i][k] = f_i^k
+    for fi in f:
+        row = [one]
+        for _ in range(m):
+            check_deadline()
+            row.append(row[-1] * fi)
+        powers.append(row)
     out = []
-    for combo in combinations_with_replacement(input.f, m):
-        p = combo[0]
-        for q in combo[1:]:
-            p = p * q
-        out.append(p)
+
+    def extend(prefix: WeylElement, i: int, left: int):
+        # prefix: the product of the factors before f_i; left more to go
+        if i == len(f) - 1:
+            check_deadline()
+            out.append(prefix * powers[i][left])
+            return
+        for k in range(left, -1, -1):
+            check_deadline()
+            extend(prefix * powers[i][k], i + 1, left - k)
+
+    extend(one, 0, m)
     return out
 
 

@@ -172,30 +172,33 @@ class Packing:
       at i*S + W that is zero in every stored monomial, so that a divides
       b iff (b - a) & guards == 0 (a slot where a exceeds b borrows from
       its guard bit);
-    - its *order int*: the weight sum(w_i e_i) above N fields, where field
-      k holds e_0 + ... + e_k.  From the top these are the total degree,
-      the degree less e_{N-1}, less e_{N-1} + e_{N-2}, and so on, so `<`
-      on order ints is the order of `TermOrder.key` (weight, degree,
-      reversed negated exponent).  Every field is linear in the exponent,
-      so the order int of a product is the sum of the factors' order ints,
-      and the packing is injective, so order ints also key dicts.
+    - its *order int*: one field per weight row, sum(w_i e_i), the top
+      row most significant, above N fields, where field k holds e_0 + ...
+      + e_k.  From the top these are the total degree, the degree less
+      e_{N-1}, less e_{N-1} + e_{N-2}, and so on, so `<` on order ints is
+      the order of `TermOrder.key` (row weights, degree, reversed negated
+      exponent).  Every field is linear in the exponent, so the order int
+      of a product is the sum of the factors' order ints, and the packing
+      is injective, so order ints also key dicts.
 
     Every packed monomial has total degree at most `limit` = 2^(W-1) - 1,
     so each field of a monomial, and of the sum or lcm of two, fits in W
     bits without a carry.  `pack` and `mono_mul` check that bound before a
     monomial could break it and raise `PackingOverflow`; the caller then
-    repacks with wider fields.  The weight field is the most significant
-    and needs no bound.
+    repacks with wider fields.  The top row's field is the most
+    significant and needs no bound; a lower row's is sized for max(row)
+    times the largest degree a W-bit field holds, so the same check keeps
+    it from carrying.
     """
 
     __slots__ = (
         "nr", "width", "limit", "vmask", "shifts", "ones", "guards", "low",
-        "dshift", "wshift", "weight_masks", "diff_bits", "var_guards",
-        "pair_steps",
+        "dshift", "row_fields", "diff_bits", "var_guards", "pair_steps",
     )
 
-    def __init__(self, sig: Signature, weights=None, bound: int = 0):
-        """Fields for monomials of total degree up to at least bound."""
+    def __init__(self, sig: Signature, rows=(), bound: int = 0):
+        """Fields for monomials of total degree up to at least bound, under
+        the weight rows of a `TermOrder`, top row first."""
         n = sig.nslots
         width = max(bound, 1).bit_length() + 1
         step = width + 1
@@ -208,12 +211,18 @@ class Packing:
         self.guards = ones << width
         self.low = (1 << (n * step)) - 1
         self.dshift = max(n - 1, 0) * step
-        self.wshift = n * step
-        by_weight: dict = {}
-        for sh, w in zip(shifts, weights or ()):
-            if w:
-                by_weight[w] = by_weight.get(w, 0) | vmask << sh
-        self.weight_masks = tuple(by_weight.items())
+        # (((weight, slot mask), ...), shift) per nonzero row, lowest first
+        fields = []
+        shift = n * step
+        for row in reversed(rows):
+            by_weight: dict = {}
+            for sh, w in zip(shifts, row):
+                if w:
+                    by_weight[w] = by_weight.get(w, 0) | vmask << sh
+            if by_weight:
+                fields.append((tuple(by_weight.items()), shift))
+                shift += (max(row) * vmask).bit_length()
+        self.row_fields = tuple(fields)
         self.diff_bits = sum(vmask << sh for sh in shifts[nr : 2 * nr])
         self.var_guards = sum(1 << (sh + width) for sh in shifts[:nr])
         self.pair_steps = tuple(
@@ -224,10 +233,12 @@ class Packing:
         """The order int of the monomial with exponent int e."""
         ones, dshift, vmask = self.ones, self.dshift, self.vmask
         o = (e * ones) & self.low
-        wt = 0
-        for w, mask in self.weight_masks:
-            wt += w * (((e & mask) * ones >> dshift) & vmask)
-        return o | wt << self.wshift if wt else o
+        for masks, shift in self.row_fields:
+            wt = 0
+            for w, mask in masks:
+                wt += w * (((e & mask) * ones >> dshift) & vmask)
+            o |= wt << shift
+        return o
 
     def exp_of(self, o: int) -> int:
         """The exponent int of the monomial with order int o."""
@@ -269,7 +280,7 @@ class Packing:
 def _product_packing(sig: Signature, bound: int) -> Packing:
     """The packing `WeylElement.__mul__` uses for a product of degree bound;
     small products are many, and this spares each the setup."""
-    return Packing(sig, None, bound)
+    return Packing(sig, (), bound)
 
 
 @lru_cache(maxsize=None)

@@ -2,8 +2,8 @@
 
 from multid.groebner import (
     LeftIdeal,
-    TermOrder,
     _buchberger,
+    _elimination_order,
     collect_stats,
     from_ipoly,
     ideal_equal,
@@ -28,14 +28,15 @@ def gens_match(gens, variables, *polys):
     return ideal_equal(LeftIdeal(sig, list(gens)), ideal_of(variables, *polys))
 
 
-def eliminate_by_normal_selection(I, target):
-    """The generators of `eliminate(I, target)`, forcing normal selection.
+def eliminate_by_normal_selection(I, target, then=None):
+    """The generators of `eliminate(I, target, then)`, forcing normal
+    selection.
 
     Returns them with the GBStats of the one Buchberger run.
     """
     sig = I.sig
     keep = {sig.slot_of(n) for n in target.slot_names}
-    order = TermOrder(sig, [0 if i in keep else 1 for i in range(sig.nslots)])
+    order = _elimination_order(sig, target, then)
     gens = [to_ipoly(g, order) for g in I.generators]
     with collect_stats() as stats:
         basis, _ = _buchberger(sig, gens, order, False)

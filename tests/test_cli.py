@@ -240,3 +240,41 @@ def test_time_limit_covers_the_whole_invocation(capsys, monkeypatch):
     )
     assert code == 3
     assert json.loads(out)["result"] == "timeout"
+
+
+def test_time_limit_covers_building_a_power(capsys, monkeypatch):
+    # every clock reading advances 1 ms on a fake clock; <x, y>^300 takes
+    # about a thousand multiplications, each checking the 500 ms cap, so
+    # the cap stops them before J_f(300)'s Groebner run starts
+    clock = [0.0]
+
+    def tick():
+        clock[0] += 0.001
+        return clock[0]
+
+    monkeypatch.setattr(groebner, "time", SimpleNamespace(monotonic=tick))
+    real = groebner.buchberger_ipolys
+    runs = []
+
+    def run(*args):
+        runs.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(groebner, "buchberger_ipolys", run)
+    monkeypatch.setenv("MULTID_TIME_LIMIT_MS", "500")
+    code, out, _ = run_cli(
+        capsys, "bfunction", "--vars", "x,y", "--ideal", "x,y", "--m", "300",
+        "--format", "json",
+    )
+    assert code == 3
+    assert json.loads(out)["result"] == "timeout"
+    assert len(runs) == 1  # I_{f,1}'s run alone
+
+
+def test_multiplier_of_a_large_c(capsys):
+    # J(a^c) = a J(a^{c-1}) is applied c times here, without recursion
+    code, out, _ = run_cli(
+        capsys, "multiplier", "--vars", "x", "--ideal", "x", "--c", "1500"
+    )
+    assert code == 0
+    assert out.strip() == "x^1500"

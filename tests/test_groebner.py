@@ -251,7 +251,8 @@ def _both_selections(sig, gens, order):
 
 
 def test_selection_follows_the_order():
-    # sugar selection unless the order weighs a slot of the Weyl part
+    # sugar selection unless the order's top row weighs a slot of the Weyl
+    # part
     sig = Signature(xvars=("x",), tvars=("t",))
     x, t, dx, dt = (gen(sig, v) for v in ("x", "t", "Dx", "Dt"))
     I = LeftIdeal(
@@ -269,10 +270,19 @@ def test_selection_follows_the_order():
     )
     assert _counts(by_sugar) != _counts(normal)
     assert _counts(grevlex) == _counts(by_sugar)
+    # I_{f,1}'s block order weighs t, Dx and Dt only in its lower row, and
+    # the top row alone picks the selection
+    inp = make_input(("x", "y"), ("x^2", "y^3"))
+    spy = mock.patch.object(groebner, "_buchberger", wraps=_buchberger)
+    with spy as run, collect_stats() as if1:
+        compute_If1(inp)
+    (call,) = run.call_args_list
+    assert len(call.args[2].rows) == 2
+    by_sugar, normal = _both_selections(*call.args[:3])
+    assert _counts(by_sugar) != _counts(normal)
+    assert _counts(if1) == _counts(by_sugar)
     # the restriction of J_f(1) to C[x,s] weighs t, Dx and Dt; for
     # <x^2, y^3> (unlike the cusp) the two selections differ there
-    inp = make_input(("x", "y"), ("x^2", "y^3"))
-    compute_If1(inp)
     spy = mock.patch.object(groebner, "_buchberger", wraps=_buchberger)
     with spy as run, collect_stats() as jf:
         build_Jf_m(inp)

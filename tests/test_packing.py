@@ -22,15 +22,17 @@ SIGNATURES = (
 
 @st.composite
 def packed_setup(draw, nexps=6):
-    """(signature, weights, exponent tuples, packing for their degrees)."""
+    """(signature, weight rows, exponent tuples, packing for their degrees).
+
+    One row or two: a two-row order packs its lower row into a bounded
+    field."""
     sig = draw(st.sampled_from(SIGNATURES))
-    weights = tuple(
-        draw(st.lists(st.integers(0, 5), min_size=sig.nslots, max_size=sig.nslots))
-    )
+    row = st.tuples(*[st.integers(0, 5) for _ in range(sig.nslots)])
+    rows = tuple(draw(st.lists(row, min_size=1, max_size=2)))
     exp = st.tuples(*[st.integers(0, 6) for _ in range(sig.nslots)])
     exps = draw(st.lists(exp, min_size=2, max_size=nexps))
-    pk = Packing(sig, weights, max(sum(e) for e in exps))
-    return sig, weights, exps, pk
+    pk = Packing(sig, rows, max(sum(e) for e in exps))
+    return sig, rows, exps, pk
 
 
 def _cmp(a, b) -> int:
@@ -40,8 +42,8 @@ def _cmp(a, b) -> int:
 @settings(max_examples=300, deadline=None)
 @given(packed_setup())
 def test_order_int_compares_like_the_term_order_key(setup):
-    sig, weights, exps, pk = setup
-    key = TermOrder(sig, weights).key
+    sig, rows, exps, pk = setup
+    key = TermOrder(sig, *rows).key
     for a in exps:
         for b in exps:
             assert _cmp(pk.pack(a)[0], pk.pack(b)[0]) == _cmp(key(a), key(b))
@@ -104,13 +106,13 @@ def _naive_mono_mul(sig: Signature, m: tuple, e: tuple) -> dict:
 @settings(max_examples=200, deadline=None)
 @given(packed_setup(nexps=4), st.lists(st.integers(-4, 4), min_size=4, max_size=4))
 def test_packed_mono_mul_matches_the_boundary_product(setup, coeffs):
-    sig, weights, exps, _ = setup
+    sig, rows, exps, _ = setup
     m, terms = exps[0], exps[1:]
     f = WeylElement(sig, {e: Fraction(c) for e, c in zip(terms, coeffs)})
     if f.is_zero():
         return
     deg = f.total_degree()
-    pk = Packing(sig, weights, sum(m) + deg)
+    pk = Packing(sig, rows, sum(m) + deg)
     packed = [pk.pack(e) + (c,) for e, c in f.terms.items()]
     got = mono_mul(pk, *pk.pack(m), packed, deg)
     got = {pk.unpack(pk.exp_of(o)): c for o, c in got.items()}
@@ -125,7 +127,7 @@ def test_packed_mono_mul_matches_the_boundary_product(setup, coeffs):
 
 def test_overflow_guard_raises_before_a_field_carries():
     sig = Signature(xvars=("x",), tvars=("t",))
-    pk = Packing(sig, None, 3)
+    pk = Packing(sig, (), 3)
     assert pk.limit == 3
     with pytest.raises(PackingOverflow):
         pk.pack((4, 0, 0, 0))

@@ -1,15 +1,23 @@
 import gc
 import weakref
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from unittest import mock
 
 import pytest
 
 from multid import groebner
 from multid.errors import UnsupportedM, ZeroDivisor
-from multid.groebner import collect_stats, member
+from multid.groebner import (
+    _elimination_order,
+    collect_stats,
+    member,
+    spairs_reduce_to_zero,
+    to_ipoly,
+)
 from multid.parsing import parse_polynomial
 from multid.pipeline import (
+    S_NAME,
     IdealInput,
     ann_fs_generators,
     bfunction,
@@ -19,6 +27,7 @@ from multid.pipeline import (
     build_Jf_m,
     compute_If1,
     ideal_power_products,
+    polynomial_ring_s,
 )
 from multid.weyl import WeightVector, WeylElement
 
@@ -128,14 +137,28 @@ def test_If1_generators_are_homogeneous():
 
 
 def test_If1_selects_by_sugar():
-    # compute_If1 eliminates only the central u1 and u2, so it selects by
-    # sugar: the same generators as normal selection, in fewer S-pairs
+    # compute_If1's top weight row eliminates only the central u1 and u2,
+    # so it selects by sugar: the same generators as normal selection, in
+    # fewer S-pairs
     inp = make_input(("x", "y"), ("x^2", "x*y", "y^4"))
     with collect_stats() as by_sugar:
         I1 = compute_If1(inp)
-    reference, normal = eliminate_by_normal_selection(build_If(inp), inp.weyl_sig())
+    reference, normal = eliminate_by_normal_selection(
+        build_If(inp), inp.weyl_sig(), inp.poly_sig()
+    )
     assert list(I1.generators) == reference
     assert by_sugar.spairs < normal.spairs
+
+
+def test_If1_is_a_basis_under_the_restriction_order():
+    # I_{f,1}'s generators, lifted to D_Y[s], are already a Groebner basis
+    # under the order that the J_f(m) and I_2 restrictions eliminate with
+    inp = make_input(("x", "y"), ("x^2", "x*y", "y^4"))
+    big = inp.weyl_sig().with_central(S_NAME)
+    order = _elimination_order(big, polynomial_ring_s(inp.variables))
+    gens = [to_ipoly(g.lift(big), order) for g in compute_If1(inp).generators]
+    assert spairs_reduce_to_zero(big, gens, order)
+    assert len(gens) == 22
 
 
 def test_If1_contained_in_annihilator():
@@ -161,6 +184,18 @@ def test_ideal_power_products_count():
     assert len(ideal_power_products(inp, 1)) == 2
     assert len(ideal_power_products(inp, 2)) == 3
     assert len(ideal_power_products(inp, 3)) == 4
+
+
+def test_ideal_power_products_keep_the_combination_order():
+    inp = make_input(("x", "y", "z"), ("x+y", "y*z", "z^2-x"))
+    for m in (1, 2, 3, 4):
+        naive = []
+        for combo in combinations_with_replacement(inp.f, m):
+            p = combo[0]
+            for q in combo[1:]:
+                p = p * q
+            naive.append(p)
+        assert ideal_power_products(inp, m) == naive
 
 
 def test_Jf1_smooth_contains_functional_equation_witness():

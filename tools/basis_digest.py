@@ -10,8 +10,8 @@ its lines also show that a repeated query in one process repeats its runs.
 `groebner._buchberger` is wrapped from outside, and each of its runs prints
 one line: the query, the run's index in it, its pair selection, the
 counters `spairs`, `reductions`, `zero_spairs` and `max_coeff_bits`, and a
-hash of the reduced basis (its slot names, term order and integer term
-lists, in their order).  The closing lines give the number of runs and one
+hash of the reduced basis (its slot names, term order's weight rows and
+integer term lists, in their order).  The closing lines give the number of runs and one
 digest of all the bases and one of all the counters.
 
 A change that should keep every computation the same, such as a faster
@@ -58,7 +58,9 @@ def query_runs(query) -> tuple[list, bool]:
 
     def recorded(sig, gens, order, sugar):
         basis, stats = real(sig, gens, order, sugar)
-        runs.append((sig.slot_names, order.weights, sugar, basis, stats))
+        # a one-row order hashes as its row, as before block orders existed
+        rows = order.rows if len(order.rows) > 1 else order.weights
+        runs.append((sig.slot_names, rows, sugar, basis, stats))
         return basis, stats
 
     out = io.StringIO()
