@@ -194,7 +194,12 @@ def main(argv=None) -> int:
         return PARSE_ERROR
     except ComputationTimeout as e:
         if args.format == "json":
-            print(json.dumps({"command": args.command, "result": "timeout"}))
+            payload = {
+                "command": args.command,
+                "result": "timeout",
+                "stats": stats.as_dict(),
+            }
+            print(json.dumps(payload))
         else:
             print(f"timeout: {e}", file=sys.stderr)
         return COMPUTATION_ERROR

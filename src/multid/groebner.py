@@ -54,7 +54,7 @@ import os
 import time
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 from math import gcd
 
@@ -73,15 +73,15 @@ TIME_LIMIT_ENV = "MULTID_TIME_LIMIT_MS"
 
 @dataclass
 class GBStats:
-    """Diagnostic counters for one Groebner basis run."""
+    """Diagnostic counters for one Groebner basis run, in `--stats` order."""
 
     spairs: int = 0
     zero_spairs: int = 0
     zero_steps: int = 0  # reduction steps spent on S-pairs that reduce to zero
-    pruned_product: int = 0
     pruned_chain: int = 0
+    pruned_product: int = 0
     reductions: int = 0
-    max_coeff_bits: int = 0
+    max_coeff_bits: int = 0  # a maximum; every other counter is a sum
     millis: int = 0
 
     def note_coeff(self, c: int):
@@ -90,26 +90,12 @@ class GBStats:
             self.max_coeff_bits = b
 
     def merge(self, other: "GBStats"):
-        self.spairs += other.spairs
-        self.zero_spairs += other.zero_spairs
-        self.zero_steps += other.zero_steps
-        self.pruned_product += other.pruned_product
-        self.pruned_chain += other.pruned_chain
-        self.reductions += other.reductions
-        self.max_coeff_bits = max(self.max_coeff_bits, other.max_coeff_bits)
-        self.millis += other.millis
+        for f in fields(self):
+            a, b = getattr(self, f.name), getattr(other, f.name)
+            setattr(self, f.name, max(a, b) if f.name == "max_coeff_bits" else a + b)
 
     def as_dict(self) -> dict:
-        return {
-            "spairs": self.spairs,
-            "zero_spairs": self.zero_spairs,
-            "zero_steps": self.zero_steps,
-            "pruned_chain": self.pruned_chain,
-            "pruned_product": self.pruned_product,
-            "reductions": self.reductions,
-            "max_coeff_bits": self.max_coeff_bits,
-            "millis": self.millis,
-        }
+        return asdict(self)
 
 
 # (stats total, monotonic deadline or None) of the innermost open block
@@ -120,7 +106,8 @@ _REQUEST: ContextVar[tuple[GBStats, float | None] | None] = ContextVar(
 
 @contextmanager
 def collect_stats():
-    """Yields a GBStats totalling the Groebner runs finished in the block.
+    """Yields a GBStats totalling the Groebner runs in the block, a run cut
+    off by ComputationTimeout with the counts it reached.
 
     The block is one request: the MULTID_TIME_LIMIT_MS budget is read when
     it opens and covers every run inside it.  When blocks nest, the
@@ -401,8 +388,8 @@ def buchberger_ipolys(
     unless the order's top row weighs a Weyl slot, as the module docstring
     sets out.
     The run's GBStats come back with it and are added to the enclosing
-    `collect_stats` block; a run outside any block is its own block, with
-    its own time budget.
+    `collect_stats` block, also when the time cap cuts the run off; a run
+    outside any block is its own block, with its own time budget.
     """
     sugar = not any(order.weights[: 2 * (sig.n + sig.r)])
     if _REQUEST.get() is None:
@@ -434,18 +421,26 @@ def _buchberger(sig: Signature, gens: list, order: TermOrder, sugar: bool) -> tu
     holds in the Weyl algebra too, since deg(m g) <= deg m + deg g.  sugar
     picks one of the two; `buchberger_ipolys` derives it from the order.
     """
+    attempts: list = []  # the GBStats of each packing tried
+
+    def run(pk: Packing, packed: list) -> list:
+        # a restart with wider fields counts from zero
+        attempts.append(GBStats())
+        return _buchberger_packed(pk, packed, sugar, attempts[-1])
+
     check_deadline()
     t0 = time.monotonic()
-    reduced, stats = _packed(
-        sig, order, gens, lambda pk, packed: _buchberger_packed(pk, packed, sugar)
-    )
-    stats.millis += int((time.monotonic() - t0) * 1000)
-    _REQUEST.get()[0].merge(stats)
+    try:
+        reduced = _packed(sig, order, gens, run)
+    finally:
+        # a run that ComputationTimeout cuts off counts its work so far
+        stats = attempts[-1]
+        stats.millis += int((time.monotonic() - t0) * 1000)
+        _REQUEST.get()[0].merge(stats)
     return reduced, stats
 
 
-def _buchberger_packed(pk: Packing, gens: list, sugar: bool) -> tuple:
-    stats = GBStats()
+def _buchberger_packed(pk: Packing, gens: list, sugar: bool, stats: GBStats) -> list:
     guards = pk.guards
     G: list = []
     leads: list = []  # lead exponent ints
@@ -546,8 +541,7 @@ def _buchberger_packed(pk: Packing, gens: list, sugar: bool) -> tuple:
             stats.zero_spairs += 1
             stats.zero_steps += stats.reductions - before
 
-    reduced = _interreduce(pk, G, stats)
-    return [_unpack(pk, g) for g in reduced], stats
+    return [_unpack(pk, g) for g in _interreduce(pk, G, stats)]
 
 
 def _spair(
@@ -828,14 +822,14 @@ def exact_divide(p: WeylElement, g: WeylElement) -> WeylElement:
     _require_commutative([p], g)
     if g.is_zero():
         raise ZeroDivisor("division by zero polynomial")
-    sig = p.sig
-    order = TermOrder.grevlex(sig)
-    le = max(g.terms, key=order.key)
+    # the leading terms under lex, the order of tuple comparison: any
+    # monomial order divides exactly
+    le = max(g.terms)
     glead = g.terms[le]
     rem = dict(p.terms)
     quot: dict = {}
     while rem:
-        e = max(rem, key=order.key)
+        e = max(rem)
         if not all(map(operator.le, le, e)):
             raise ZeroDivisor(f"{g} does not divide {p}")
         q = rem[e] / glead
@@ -848,7 +842,7 @@ def exact_divide(p: WeylElement, g: WeylElement) -> WeylElement:
                 rem[ne] = nc
             else:
                 rem.pop(ne, None)
-    return WeylElement(sig, quot)
+    return WeylElement(p.sig, quot)
 
 
 def colon(I: LeftIdeal, g: WeylElement) -> LeftIdeal:

@@ -3,9 +3,9 @@
 For c below the recursion threshold B = min(n, r), the ideal J(a^c) is read
 off J_f(m) by saturating away the b-function roots <= c and eliminating s;
 for c >= B the recursion J(a^c) = a J(a^{c-1}) applies (B bounds the
-analytic spread).  All comparisons are exact rational; "just below a
-candidate" always means the previous filtration step, never a numeric
-epsilon.
+analytic spread), so J(a^c) = a^k J(a^{c-k}) with c - k < B.  All
+comparisons are exact rational; "just below a candidate" always means the
+previous filtration step, never a numeric epsilon.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from .pipeline import (
     bfunction,
     bfunction_level,
     build_Jf_m,
+    ideal_power_products,
     polynomial_ring,
     polynomial_ring_s,
 )
@@ -109,7 +110,7 @@ def multiplier_ideal_ideal(input: IdealInput, c: Fraction) -> LeftIdeal:
     if c < 0:
         raise ValueError("c must be nonnegative")
     psig = polynomial_ring(input.variables)
-    # J(a^c) = a J(a^{c-1}) for c >= B, applied k times down to c - k < B
+    # J(a^c) = a^k J(a^{c-k}) for the least k with c - k < B
     B = _recursion_bound(input)
     k = floor(c - B) + 1 if c >= B else 0
     c -= k
@@ -118,9 +119,9 @@ def multiplier_ideal_ideal(input: IdealInput, c: Fraction) -> LeftIdeal:
         lct_val = lct(input)
         if c >= lct_val:
             J = _multiplier_ideal_direct(input.with_m(_level_for(c, lct_val)), c)
-    for _ in range(k):
-        J = LeftIdeal(psig, [fi * g for fi in input.f for g in J.generators])
-    return J
+    return LeftIdeal(
+        psig, [p * g for p in ideal_power_products(input, k) for g in J.generators]
+    )
 
 
 def multiplier_ideal(input: IdealInput, c: Fraction) -> list[WeylElement]:

@@ -246,15 +246,18 @@ def _build_I2(input: IdealInput) -> LeftIdeal:
     return input.memoized(("I2", input.g), build)
 
 
-def defining_ideal(input: IdealInput) -> LeftIdeal:
-    """The ideal of C[x,s] that `bfunction(input)` is read off.
+def _reads_I2(input: IdealInput) -> bool:
+    """True when `bfunction(input)` is read off I_{(f;g),2}, not J_f(m).
 
-    I_{(f;g),2} at m = 1 with nonconstant g, giving the classical b_{a,g};
-    J_f(m) otherwise, giving b^{(m)}_{a,g} (for g = 1 the two agree).
+    That is m = 1 with nonconstant g, giving the classical b_{a,g};
+    otherwise J_f(m) gives b^{(m)}_{a,g} (for g = 1 the two agree).
     """
-    if input.m == 1 and not input.g.is_constant():
-        return _build_I2(input)
-    return build_Jf_m(input)
+    return input.m == 1 and not input.g.is_constant()
+
+
+def defining_ideal(input: IdealInput) -> LeftIdeal:
+    """The ideal of C[x,s] that `bfunction(input)` is read off."""
+    return _build_I2(input) if _reads_I2(input) else build_Jf_m(input)
 
 
 def _principal_s_generator(I: LeftIdeal) -> UPoly:
@@ -296,7 +299,7 @@ def bfunction(input: IdealInput) -> FactoredBPoly:
     (J_f(m) : g) cap C[s], which `bfunction_level` computes and memoises;
     the two notions agree when g = 1.
     """
-    if input.m == 1 and not input.g.is_constant():
+    if _reads_I2(input):
         return input.memoized(
             ("bfunction", input.g), lambda: _b_of_colon(_build_I2(input), input)
         )

@@ -567,41 +567,24 @@ class WeylElement:
     # -- actions ----------------------------------------------------------------
 
     def act_on_polynomial(self, h: "WeylElement") -> "WeylElement":
-        """Apply this operator to a polynomial (differentials differentiate)."""
+        """Apply this operator to a polynomial (differentials differentiate).
+
+        In the normal-ordered product self * h every differential stands to
+        the right, where it kills 1, so the action is the differential-free
+        part of that product.
+        """
         self._check(h)
         if not h.is_polynomial():
             raise NotAPolynomial("action target must be differential-free")
-        sig = self.sig
-        nr = sig.n + sig.r
-        out: dict = {}
-        for pe, pc in self.terms.items():
-            for he, hc in h.terms.items():
-                coeff = pc * hc
-                ne = list(he)
-                ok = True
-                for i in range(nr):
-                    a = pe[nr + i]
-                    if not a:
-                        continue
-                    b = ne[i]
-                    if b < a:
-                        ok = False
-                        break
-                    # d^a x^b = b(b-1)...(b-a+1) x^(b-a)
-                    for j in range(a):
-                        coeff *= b - j
-                    ne[i] = b - a
-                if not ok or coeff == 0:
-                    continue
-                for i in list(range(nr)) + list(sig.central_slots()):
-                    ne[i] += pe[i] if i < nr else pe[i]
-                key = tuple(ne)
-                nc = out.get(key, 0) + coeff
-                if nc:
-                    out[key] = nc
-                else:
-                    del out[key]
-        return WeylElement(sig, out)
+        diff = self.sig.diff_slots()
+        return WeylElement(
+            self.sig,
+            {
+                e: c
+                for e, c in (self * h).terms.items()
+                if not any(e[i] for i in diff)
+            },
+        )
 
     # -- rendering ----------------------------------------------------------------
 

@@ -40,6 +40,15 @@ def test_criterion_1_principal_bfunctions(cusp, two_branch, four_lines):
     _ok(1, "principal b-function regressions")
 
 
+def test_criterion_1_generic_3x3_determinant():
+    # Cayley's identity gives b(s) = (s+1)(s+2)...(s+n) for the generic
+    # n x n determinant, an answer independent of this engine
+    variables = tuple(f"x{i}" for i in range(1, 10))
+    det = "x1*(x5*x9-x6*x8)-x2*(x4*x9-x6*x7)+x3*(x4*x8-x5*x7)"
+    assert str(bfunction(make_input(variables, (det,)))) == "(s+1)(s+2)(s+3)"
+    _ok(1, "generic 3x3 determinant, by Cayley's identity")
+
+
 # -- criterion 2: non-principal b-functions -------------------------------------
 
 
@@ -270,16 +279,6 @@ def test_criterion_5_property_suites(cusp, x2y3, two_branch):
 
 
 # -- criterion 6: opt-in stress fixtures (no pass requirement) ----------------------
-
-
-@pytest.mark.stress
-def test_stress_generic_3x3_determinant():
-    variables = tuple(f"x{i}" for i in range(1, 10))
-    det = (
-        "x1*(x5*x9-x6*x8)-x2*(x4*x9-x6*x7)+x3*(x4*x8-x5*x7)"
-    )
-    inp = make_input(variables, (det,))
-    print("det3 b-function:", bfunction(inp))
 
 
 @pytest.mark.stress

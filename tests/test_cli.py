@@ -242,6 +242,39 @@ def test_time_limit_covers_the_whole_invocation(capsys, monkeypatch):
     assert json.loads(out)["result"] == "timeout"
 
 
+def test_timeout_reports_the_counters_of_the_cut_run(capsys, monkeypatch):
+    # every clock reading advances 1 ms on a fake clock, so the 30 ms cap
+    # trips inside I_{f,1}'s run, the first one; the JSON still carries the
+    # counters that run reached
+    clock = [0.0]
+
+    def tick():
+        clock[0] += 0.001
+        return clock[0]
+
+    monkeypatch.setattr(groebner, "time", SimpleNamespace(monotonic=tick))
+    real = groebner.buchberger_ipolys
+    runs = []
+
+    def run(*args):
+        runs.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(groebner, "buchberger_ipolys", run)
+    monkeypatch.setenv("MULTID_TIME_LIMIT_MS", "30")
+    code, out, _ = run_cli(
+        capsys, "bfunction", "--vars", "x,y", "--ideal", "x^2+y^3",
+        "--format", "json",
+    )
+    assert code == 3
+    payload = json.loads(out)
+    assert payload["command"] == "bfunction"
+    assert payload["result"] == "timeout"
+    assert len(runs) == 1
+    assert payload["stats"]["spairs"] > 0
+    assert payload["stats"]["reductions"] > 0
+
+
 def test_time_limit_covers_building_a_power(capsys, monkeypatch):
     # every clock reading advances 1 ms on a fake clock; <x, y>^300 takes
     # about a thousand multiplications, each checking the 500 ms cap, so
@@ -272,9 +305,23 @@ def test_time_limit_covers_building_a_power(capsys, monkeypatch):
 
 
 def test_multiplier_of_a_large_c(capsys):
-    # J(a^c) = a J(a^{c-1}) is applied c times here, without recursion
+    # J(a^c) = a^c J(a^0), with a^c built once and without recursion
     code, out, _ = run_cli(
         capsys, "multiplier", "--vars", "x", "--ideal", "x", "--c", "1500"
     )
     assert code == 0
     assert out.strip() == "x^1500"
+
+
+def test_multiplier_of_a_large_c_in_two_generators(capsys):
+    # J(<x,y>^200) = <x,y>^199, whose 200 distinct products are each formed
+    # once; with repeats there would be 2^199
+    code, out, _ = run_cli(
+        capsys, "multiplier", "--vars", "x,y", "--ideal", "x,y", "--c", "200"
+    )
+    assert code == 0
+    gens = out.strip().split(", ")
+    assert len(gens) == 200
+    assert set(gens) == {
+        str(parse_polynomial(f"x^{i}*y^{199 - i}", ("x", "y"))) for i in range(200)
+    }

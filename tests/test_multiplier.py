@@ -157,3 +157,16 @@ def test_recursion_consistency_principal(cusp):
         below = multiplier_ideal(cusp, c - 1)
         shifted = LeftIdeal(f.sig, [f * g for g in below])
         assert ideal_equal(direct, shifted)
+
+
+def test_power_step_forms_each_product_once():
+    # J(<x,y>^12) = <x,y>^11 J(<x,y>^1) = <x,y>^11: one product per
+    # monomial of degree 11, not one per ordered choice of factors (2^11)
+    XY = ("x", "y")
+    xy = make_input(XY, XY)
+    assert len(multiplier_ideal_ideal(xy, Fraction(12)).generators) <= 12
+    reduced = multiplier_ideal(xy, Fraction(12))
+    assert len(reduced) == 12
+    assert set(reduced) == {
+        parse_polynomial(f"x^{i}*y^{11 - i}", XY) for i in range(12)
+    }

@@ -13,6 +13,7 @@ from multid.groebner import (
     TermOrder,
     _buchberger,
     collect_stats,
+    exact_divide,
     member,
     normal_form,
     spairs_reduce_to_zero,
@@ -95,12 +96,27 @@ def _polynomial(sig):
     )
 
 
+# two variables, a t and a central s: the layout of the pipeline's D_Y[s]
+ASIG = Signature(xvars=("x", "y"), tvars=("t1",), central=("s",))
+
+
 @settings(max_examples=200, deadline=None)
-@given(elements, elements, _polynomial(SIG))
+@given(_element(ASIG), _element(ASIG), _polynomial(ASIG))
 def test_action_consistency(p, q, h):
+    # a module action, (PQ)(h) = P(Q(h)), though act_on_polynomial only
+    # drops the terms of a product that carry a differential
     lhs = (p * q).act_on_polynomial(h)
-    rhs = p.act_on_polynomial(q.act_on_polynomial(h))
-    assert lhs == rhs
+    assert lhs == p.act_on_polynomial(q.act_on_polynomial(h))
+    assert lhs.is_polynomial()
+
+
+CSIG = Signature(central=("x", "y", "s"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_polynomial(CSIG), _polynomial(CSIG).filter(lambda g: not g.is_zero()))
+def test_exact_divide_inverts_a_product(q, g):
+    assert exact_divide(q * g, g) == q
 
 
 HSIG = SIG.with_central("u1")
