@@ -27,7 +27,6 @@ from .groebner import (
     intersect,
     member,
     normal_form,
-    reduced_gb,
     saturate,
     weight_homogenization,
 )

@@ -16,16 +16,19 @@ reduced basis of I_{f,1} under the order of the restriction, so that run
 starts from a Groebner basis of I_{f,1}; the reduced bases after it are
 unique, so they stay the same.
 
-Callers see integer term lists: (exponent tuple, int) pairs, primitive
-and sorted descending.  The Buchberger loop, the reducer, the S-pairs and
-the interreduction run on packed monomials instead (`weyl.Packing`, after
-Monagan and Pearce, "Sparse polynomial division using a heap", JSC 46,
-2011): a term is an (order int, exponent int, coeff) triple, where order
-ints compare like `TermOrder.key`, key the dicts and, negated, the
-reducer's heap, and exponent ints test divisibility and form lcms with a
-few integer operations.  `_packed` packs the input once on the way in,
-with fields sized from its degrees, and the result is unpacked once on
-the way out; a run whose monomials would outgrow the fields raises
+Callers hand in integer term lists: (exponent tuple, int) pairs in any
+order and at any scale, as `to_ipoly` makes them.  Bases come back
+primitive, with positive leading coefficients, and sorted descending.
+The Buchberger loop, the reducer, the S-pairs and the interreduction run
+on packed monomials instead (`weyl.Packing`, after Monagan and Pearce,
+"Sparse polynomial division using a heap", JSC 46, 2011): a term is an
+(order int, exponent int, coeff) triple, where order ints compare like
+`TermOrder.key`, key the dicts and, negated, the reducer's heap, and
+exponent ints test divisibility and form lcms with a few integer
+operations.  `_packed` packs the input once on the way in, sorting each
+list by order int, with fields sized from its degrees, and the result is
+unpacked once on the way out; so the core alone orders and normalizes
+term lists.  A run whose monomials would outgrow the fields raises
 PackingOverflow before any field carries and starts again with wider
 fields, so it never returns a wrong basis.  All reduction arithmetic is
 fraction free.
@@ -40,9 +43,9 @@ and u2 (I_{f,1}, whose lower row weighs Weyl slots, and `initial_ideal`),
 of u (`intersect`), of y (`saturate`) and of x or s in C[x,s].  Those runs
 select by sugar, which on the weight homogenizations behind I_{f,1} and
 `initial_ideal` needed a fifth to two thirds of the S-pairs of normal
-selection (ROADMAP item 1 has the numbers); on I_{f,1}'s block order normal
-selection is far worse still.  The reduced basis is the same under either
-selection.
+selection (CHANGES.md has the numbers, in its entry on sugar pair
+selection); on I_{f,1}'s block order normal selection is far worse still.
+The reduced basis is the same under either selection.
 """
 
 from __future__ import annotations
@@ -50,99 +53,19 @@ from __future__ import annotations
 import heapq
 import itertools
 import operator
-import os
 import time
-from contextlib import contextmanager
-from contextvars import ContextVar
-from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 from math import gcd
 
 from .errors import (
-    ComputationTimeout,
-    InvalidSetting,
     NoncommutativeContext,
     PackingOverflow,
     SignatureMismatch,
     ZeroDivisor,
 )
+# TIME_LIMIT_ENV is not used here, but stays importable from this module
+from .request import _REQUEST, TIME_LIMIT_ENV, GBStats, check_deadline, collect_stats
 from .weyl import Packing, Signature, WeightVector, WeylElement, mono_mul
-
-TIME_LIMIT_ENV = "MULTID_TIME_LIMIT_MS"
-
-
-@dataclass
-class GBStats:
-    """Diagnostic counters for one Groebner basis run, in `--stats` order."""
-
-    spairs: int = 0
-    zero_spairs: int = 0
-    zero_steps: int = 0  # reduction steps spent on S-pairs that reduce to zero
-    pruned_chain: int = 0
-    pruned_product: int = 0
-    reductions: int = 0
-    max_coeff_bits: int = 0  # a maximum; every other counter is a sum
-    millis: int = 0
-
-    def note_coeff(self, c: int):
-        b = c.bit_length()
-        if b > self.max_coeff_bits:
-            self.max_coeff_bits = b
-
-    def merge(self, other: "GBStats"):
-        for f in fields(self):
-            a, b = getattr(self, f.name), getattr(other, f.name)
-            setattr(self, f.name, max(a, b) if f.name == "max_coeff_bits" else a + b)
-
-    def as_dict(self) -> dict:
-        return asdict(self)
-
-
-# (stats total, monotonic deadline or None) of the innermost open block
-_REQUEST: ContextVar[tuple[GBStats, float | None] | None] = ContextVar(
-    "gb_request", default=None
-)
-
-
-@contextmanager
-def collect_stats():
-    """Yields a GBStats totalling the Groebner runs in the block, a run cut
-    off by ComputationTimeout with the counts it reached.
-
-    The block is one request: the MULTID_TIME_LIMIT_MS budget is read when
-    it opens and covers every run inside it.  When blocks nest, the
-    innermost one counts a run and sets its budget.  A value that is not
-    a nonnegative integer raises InvalidSetting, a ValueError.
-    """
-    total = GBStats()
-    ms = os.environ.get(TIME_LIMIT_ENV)
-    deadline = None
-    if ms:
-        try:
-            limit = int(ms)
-        except ValueError:
-            limit = -1
-        if limit < 0:
-            raise InvalidSetting(
-                f"{TIME_LIMIT_ENV} must be a nonnegative integer of"
-                f" milliseconds, not {ms!r}"
-            )
-        deadline = time.monotonic() + limit / 1000.0
-    token = _REQUEST.set((total, deadline))
-    try:
-        yield total
-    finally:
-        _REQUEST.reset(token)
-
-
-def check_deadline():
-    """Raise ComputationTimeout once the enclosing block's budget is spent."""
-    request = _REQUEST.get()
-    deadline = request[1] if request is not None else None
-    if deadline is not None and time.monotonic() > deadline:
-        raise ComputationTimeout(
-            f"computation exceeded the {TIME_LIMIT_ENV} wall-time cap"
-        )
 
 
 class TermOrder:
@@ -153,8 +76,9 @@ class TermOrder:
     order); elimination orders are realized by weighting the eliminated
     block positively, and a block order by one row per block.  `weights`
     is the top row, the one that picks the pair selection.  `key` is the
-    reference definition; the Buchberger loop compares the order ints of
-    `weyl.Packing`, which order monomials the same way.
+    reference definition, which the tests hold the order ints of
+    `weyl.Packing` to; the Groebner core sorts and compares by those ints
+    and never calls `key`.
     """
 
     __slots__ = ("sig", "rows")
@@ -202,17 +126,13 @@ def _content_normalize(terms: dict, lead) -> dict:
     return {e: c // g for e, c in terms.items()}
 
 
-def to_ipoly(p: WeylElement, order: TermOrder) -> list:
-    """Primitive integer term list, sorted descending by the order."""
-    if p.is_zero():
-        return []
+def to_ipoly(p: WeylElement) -> list:
+    """p times the lcm of its denominators, as an integer term list in the
+    order of p's terms."""
     den = 1
     for c in p.terms.values():
         den = den * c.denominator // gcd(den, c.denominator)
-    terms = {e: int(c * den) for e, c in p.terms.items()}
-    exps = sorted(terms, key=order.key, reverse=True)
-    terms = _content_normalize(terms, exps[0])
-    return [(e, terms[e]) for e in exps]
+    return [(e, int(c * den)) for e, c in p.terms.items()]
 
 
 def from_ipoly(sig: Signature, terms: list) -> WeylElement:
@@ -230,17 +150,21 @@ _HEADROOM = 4
 def _packed(sig: Signature, order: TermOrder, polys: list, run):
     """run(pk, packed polys) under a `Packing` of sig and order.
 
-    polys are integer term lists with exponent tuples; each is handed to
-    run as a list of (order int, exponent int, coeff) triples in the same
-    order.  The fields start at _HEADROOM times the largest input degree;
-    if run raises PackingOverflow, it runs again from the start with one
-    more bit per field, so a result never comes from a carried field.
+    polys are integer term lists with exponent tuples, in any order; each
+    is handed to run as a list of (order int, exponent int, coeff)
+    triples sorted descending by order int.  The fields start at
+    _HEADROOM times the largest input degree; if run raises
+    PackingOverflow, it runs again from the start with one more bit per
+    field, so a result never comes from a carried field.
     """
     deg = max((sum(e) for ip in polys for e, _ in ip), default=0)
     bound = _HEADROOM * max(deg, 1)
     while True:
         pk = Packing(sig, order.rows, bound)
-        packed = [[pk.pack(e) + (c,) for e, c in ip] for ip in polys]
+        packed = [
+            sorted((pk.pack(e) + (c,) for e, c in ip), reverse=True)
+            for ip in polys
+        ]
         try:
             return run(pk, packed)
         except PackingOverflow:
@@ -656,7 +580,7 @@ class LeftIdeal:
         got = self._cache.get(order.rows)
         if got is not None:
             return got
-        gens = [to_ipoly(g, order) for g in self.generators]
+        gens = [to_ipoly(g) for g in self.generators]
         basis, _ = buchberger_ipolys(self.sig, gens, order)
         self._cache[order.rows] = basis
         return basis
@@ -666,9 +590,6 @@ class LeftIdeal:
         if order is None:
             order = TermOrder.grevlex(self.sig)
         return [from_ipoly(self.sig, g) for g in self.groebner_ipolys(order)]
-
-    def contains(self, h: WeylElement, order: TermOrder | None = None) -> bool:
-        return member(h, self, order)
 
     def __repr__(self) -> str:
         gens = ", ".join(str(g) for g in self.generators)
@@ -688,26 +609,12 @@ def normal_form(
     if P.is_zero():
         return P
     sig = P.sig
-    iP = to_ipoly(P, order)
-    iG = [to_ipoly(g, order) for g in G if not g.is_zero()]
+    iP = to_ipoly(P)
+    iG = [to_ipoly(g) for g in G if not g.is_zero()]
     nf = _remainder(sig, order, iP, iG, exact=True)
-    # to_ipoly rescaled P to a primitive representative; undo that.
-    factor = P.terms[iP[0][0]] / iP[0][1]
+    # to_ipoly scaled every term of P alike; undo that (P may hold ints)
+    factor = Fraction(P.terms[iP[0][0]], iP[0][1])
     return WeylElement(sig, {e: c * factor for e, c in nf})
-
-
-def reduced_gb(G: list[WeylElement], order: TermOrder) -> list[WeylElement]:
-    """Monic auto-reduced form of a Groebner basis."""
-    if not G:
-        return []
-    sig = G[0].sig
-    basis = _packed(
-        sig,
-        order,
-        [to_ipoly(g, order) for g in G if not g.is_zero()],
-        lambda pk, P: [_unpack(pk, g) for g in _interreduce(pk, P, GBStats())],
-    )
-    return [from_ipoly(sig, g) for g in basis]
 
 
 def _fresh_name(sig: Signature, base: str) -> str:
@@ -883,7 +790,7 @@ def member(h: WeylElement, I: LeftIdeal, order: TermOrder | None = None) -> bool
         return False
     if order is None:
         order = TermOrder.grevlex(I.sig)
-    return not _remainder(I.sig, order, to_ipoly(h, order), I.groebner_ipolys(order))
+    return not _remainder(I.sig, order, to_ipoly(h), I.groebner_ipolys(order))
 
 
 def ideal_equal(I: LeftIdeal, J: LeftIdeal) -> bool:

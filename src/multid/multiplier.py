@@ -18,14 +18,14 @@ from .errors import UnitIdeal, ZeroDivisor
 from .groebner import LeftIdeal, TermOrder, eliminate, saturate
 from .pipeline import (
     IdealInput,
-    S_NAME,
     bfunction,
     bfunction_level,
     build_Jf_m,
+    expand_in_s,
     ideal_power_products,
     polynomial_ring,
-    polynomial_ring_s,
 )
+from .request import check_deadline
 from .weyl import WeylElement
 
 
@@ -80,17 +80,6 @@ def _level_for(c: Fraction, lct_val: Fraction) -> int:
     return floor(c - lct_val) + 1
 
 
-def _saturation_element(roots, c: Fraction, sig) -> WeylElement:
-    """prod over distinct roots c_i > c of (s + c_i) as an element of C[x,s]."""
-    s = WeylElement.generator(sig, S_NAME)
-    p = WeylElement.one(sig)
-    for root in roots:
-        ci = -root
-        if ci > c:
-            p = p * (s + WeylElement.constant(sig, ci))
-    return p
-
-
 def _reduced_generators(I: LeftIdeal) -> tuple[WeylElement, ...]:
     """Canonical form of an ideal of C[x]: its reduced grevlex GB."""
     return tuple(I.groebner(TermOrder.grevlex(I.sig)))
@@ -100,8 +89,8 @@ def _multiplier_ideal_direct(input: IdealInput, c: Fraction) -> LeftIdeal:
     """J(a^c) for c < lct + m via saturation of J_f(m)."""
     J = build_Jf_m(input)
     b = bfunction_level(input.with_g(WeylElement.one(input.poly_sig())))
-    big = polynomial_ring_s(input.variables)
-    p = _saturation_element(b.roots, c, big)
+    # prod (s + c_i) over the distinct roots -c_i with c_i > c
+    p = expand_in_s([(root, 1) for root in b.roots if -root > c], J.sig)
     return eliminate(saturate(J, p), polynomial_ring(input.variables))
 
 
@@ -135,7 +124,8 @@ def _jump_candidates(input: IdealInput, cmax: Fraction, lct_val: Fraction):
     Jumps below B = min(n, r) lie among the roots of b^{(m)}_a(-s) for the
     m covering that range; for c > B a jump at c forces a jump at c - 1,
     and c = B itself is always tested, so closing the candidate set under
-    +1 translation (and adding B) covers everything up to cmax.
+    +1 translation (and adding B) covers everything up to cmax.  That
+    closure takes about cmax steps, each checking the request's time budget.
     """
     B = _recursion_bound(input)
     direct_top = min(cmax, Fraction(B))
@@ -149,6 +139,7 @@ def _jump_candidates(input: IdealInput, cmax: Fraction, lct_val: Fraction):
         cands.add(Fraction(B))
     frontier = set(cands)
     while frontier:
+        check_deadline()
         nxt = {c + 1 for c in frontier if c + 1 <= cmax}
         nxt -= cands
         cands |= nxt

@@ -15,17 +15,17 @@ from itertools import combinations
 from math import gcd
 
 from .errors import UnsupportedM
-from .groebner import LeftIdeal, member
+from .groebner import member
 from .multiplier import MultiplierFiltration
 from .pipeline import (
     IdealInput,
-    S_NAME,
     bfunction,
     bfunction_alg2,
     defining_ideal,
+    expand_in_s,
     polynomial_ring,
 )
-from .rationals import FactoredBPoly, UPoly
+from .rationals import FactoredBPoly
 from .weyl import WeylElement
 
 
@@ -196,16 +196,6 @@ def howald_filtration(monomials, cmax, variables) -> MultiplierFiltration:
     )
 
 
-def _upoly_to_element(p: UPoly, sig) -> WeylElement:
-    s = WeylElement.generator(sig, S_NAME)
-    out = WeylElement.zero(sig)
-    power = WeylElement.one(sig)
-    for c in p.coeffs:
-        out = out + power.scale(c)
-        power = power * s
-    return out
-
-
 def verify_minimality(b: FactoredBPoly, input: IdealInput) -> bool:
     """True iff no single factor of b can be dropped.
 
@@ -217,7 +207,7 @@ def verify_minimality(b: FactoredBPoly, input: IdealInput) -> bool:
     sig = J.sig
     g = input.g.lift(sig)
     for root in b.roots:
-        dropped = _upoly_to_element(b.drop_one(root).expand(), sig)
+        dropped = expand_in_s(b.drop_one(root).factors, sig)
         if member(dropped * g, J):
             return False
     return True

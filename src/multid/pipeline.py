@@ -24,7 +24,6 @@ from fractions import Fraction
 from .errors import UnsupportedM, ZeroDivisor
 from .groebner import (
     LeftIdeal,
-    check_deadline,
     colon,
     eliminate,
     exact_divide,
@@ -74,6 +73,8 @@ class IdealInput:
     def __post_init__(self):
         if not self.variables:
             raise ValueError("at least one variable is required")
+        if not all(self.variables):
+            raise ValueError("variable names must be nonempty")
         psig = polynomial_ring(self.variables)
         bad = [
             v
@@ -188,8 +189,8 @@ def ideal_power_products(input: IdealInput, m: int) -> list[WeylElement]:
 
     In the order of combinations_with_replacement(input.f, m).  Each
     product is its prefix's product times a power of its last factor, and
-    each prefix and power is formed once.  The request's time budget is
-    checked at every multiplication.
+    each prefix and power is formed once.  Each multiplication checks the
+    request's time budget.
     """
     f = input.f
     one = WeylElement.one(input.poly_sig())
@@ -197,7 +198,6 @@ def ideal_power_products(input: IdealInput, m: int) -> list[WeylElement]:
     for fi in f:
         row = [one]
         for _ in range(m):
-            check_deadline()
             row.append(row[-1] * fi)
         powers.append(row)
     out = []
@@ -205,15 +205,24 @@ def ideal_power_products(input: IdealInput, m: int) -> list[WeylElement]:
     def extend(prefix: WeylElement, i: int, left: int):
         # prefix: the product of the factors before f_i; left more to go
         if i == len(f) - 1:
-            check_deadline()
             out.append(prefix * powers[i][left])
             return
         for k in range(left, -1, -1):
-            check_deadline()
             extend(prefix * powers[i][k], i + 1, left - k)
 
     extend(one, 0, m)
     return out
+
+
+def expand_in_s(factors, sig: Signature) -> WeylElement:
+    """prod (s - root)^mult over the (root, multiplicity) pairs, as an
+    element of sig, which has s as a central variable."""
+    s = WeylElement.generator(sig, S_NAME)
+    p = WeylElement.one(sig)
+    for root, mult in factors:
+        for _ in range(mult):
+            p = p * (s - WeylElement.constant(sig, root))
+    return p
 
 
 def _adjoin_s_and_restrict(input: IdealInput, gens) -> LeftIdeal:

@@ -14,7 +14,8 @@ Multiplication uses the closed-form reordering identity
 applied independently per variable/differential pair.  Its one kernel,
 `mono_mul`, works on monomials packed into integers (`Packing`), as the
 Groebner core stores them; `WeylElement.__mul__` packs its operands and
-unpacks the product.
+unpacks the product, checking the request's time budget once per term of
+its left operand.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .errors import (
     SignatureMismatch,
     ZeroElement,
 )
+from .request import check_deadline
 
 
 class Signature:
@@ -448,6 +450,7 @@ class WeylElement:
         rhs = [pk.pack(e) + (c,) for e, c in other.terms.items()]
         out: dict = {}
         for e1, c1 in self.terms.items():
+            check_deadline()
             for o, c in mono_mul(pk, *pk.pack(e1), rhs, deg).items():
                 nc = out.get(o, 0) + c1 * c
                 if nc:

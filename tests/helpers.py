@@ -37,7 +37,7 @@ def eliminate_by_normal_selection(I, target, then=None):
     sig = I.sig
     keep = {sig.slot_of(n) for n in target.slot_names}
     order = _elimination_order(sig, target, then)
-    gens = [to_ipoly(g, order) for g in I.generators]
+    gens = [to_ipoly(g) for g in I.generators]
     with collect_stats() as stats:
         basis, _ = _buchberger(sig, gens, order, False)
     elements = [from_ipoly(sig, g) for g in basis]

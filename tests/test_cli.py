@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from multid import groebner
+from multid import cli, groebner, multiplier, request
 from multid.cli import main
 from multid.parsing import parse_polynomial
 
@@ -224,7 +224,7 @@ def test_time_limit_covers_the_whole_invocation(capsys, monkeypatch):
     # every Groebner run takes 0.4 s on a fake clock: each stays under the
     # 1 s cap, but a jumps query needs more than two of them
     clock = [0.0]
-    monkeypatch.setattr(groebner, "time", SimpleNamespace(monotonic=lambda: clock[0]))
+    monkeypatch.setattr(request, "time", SimpleNamespace(monotonic=lambda: clock[0]))
     real = groebner.buchberger_ipolys
 
     def run(*args):
@@ -252,7 +252,7 @@ def test_timeout_reports_the_counters_of_the_cut_run(capsys, monkeypatch):
         clock[0] += 0.001
         return clock[0]
 
-    monkeypatch.setattr(groebner, "time", SimpleNamespace(monotonic=tick))
+    monkeypatch.setattr(request, "time", SimpleNamespace(monotonic=tick))
     real = groebner.buchberger_ipolys
     runs = []
 
@@ -285,7 +285,7 @@ def test_time_limit_covers_building_a_power(capsys, monkeypatch):
         clock[0] += 0.001
         return clock[0]
 
-    monkeypatch.setattr(groebner, "time", SimpleNamespace(monotonic=tick))
+    monkeypatch.setattr(request, "time", SimpleNamespace(monotonic=tick))
     real = groebner.buchberger_ipolys
     runs = []
 
@@ -302,6 +302,71 @@ def test_time_limit_covers_building_a_power(capsys, monkeypatch):
     assert code == 3
     assert json.loads(out)["result"] == "timeout"
     assert len(runs) == 1  # I_{f,1}'s run alone
+
+
+def test_time_limit_covers_parsing(capsys, monkeypatch):
+    # every clock reading advances 1 ms on a fake clock; expanding
+    # (x+y+z)^40 reads it once per left-hand term of each product, about
+    # 270 times, so the 100 ms cap stops the parser: the input is never
+    # built and no Groebner run starts
+    clock = [0.0]
+
+    def tick():
+        clock[0] += 0.001
+        return clock[0]
+
+    monkeypatch.setattr(request, "time", SimpleNamespace(monotonic=tick))
+    runs, inputs = [], []
+    real_run, real_input = groebner.buchberger_ipolys, cli.IdealInput
+
+    def run(*args):
+        runs.append(args)
+        return real_run(*args)
+
+    def build_input(*args):
+        inputs.append(args)
+        return real_input(*args)
+
+    monkeypatch.setattr(groebner, "buchberger_ipolys", run)
+    monkeypatch.setattr(cli, "IdealInput", build_input)
+    monkeypatch.setenv("MULTID_TIME_LIMIT_MS", "100")
+    code, out, _ = run_cli(
+        capsys, "bfunction", "--vars", "x,y,z", "--ideal", "(x+y+z)^40",
+        "--format", "json",
+    )
+    assert code == 3
+    assert json.loads(out)["result"] == "timeout"
+    assert inputs == [] and runs == []
+
+
+def test_time_limit_covers_the_jump_candidates(capsys, monkeypatch):
+    # every clock reading advances 1 ms on a fake clock; the lct of <x>
+    # takes a few dozen readings, and closing its candidates under +1 up to
+    # --cmax 1000 one per step, so the 100 ms cap trips in that closure,
+    # before any multiplier ideal is formed
+    clock = [0.0]
+
+    def tick():
+        clock[0] += 0.001
+        return clock[0]
+
+    monkeypatch.setattr(request, "time", SimpleNamespace(monotonic=tick))
+    calls = []
+    real = multiplier.multiplier_ideal_ideal
+
+    def ideal(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(multiplier, "multiplier_ideal_ideal", ideal)
+    monkeypatch.setenv("MULTID_TIME_LIMIT_MS", "100")
+    code, out, _ = run_cli(
+        capsys, "jumps", "--vars", "x", "--ideal", "x", "--cmax", "1000",
+        "--format", "json",
+    )
+    assert code == 3
+    assert json.loads(out)["result"] == "timeout"
+    assert calls == []
 
 
 def test_multiplier_of_a_large_c(capsys):

@@ -148,7 +148,7 @@ def test_a_run_that_overflows_widens_and_keeps_its_basis():
     sig = Signature(xvars=("x", "y"))
     x, y, dx, dy = (WeylElement.generator(sig, n) for n in ("x", "y", "Dx", "Dy"))
     order = TermOrder.grevlex(sig)
-    gens = [to_ipoly(p, order) for p in (x * dx * dx + y * dy, y * y - dx)]
+    gens = [to_ipoly(p) for p in (x * dx * dx + y * dy, y * y - dx)]
     basis, stats = buchberger_ipolys(sig, gens, order)
     widths = []
 

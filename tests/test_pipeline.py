@@ -27,6 +27,7 @@ from multid.pipeline import (
     build_Jf_m,
     compute_If1,
     ideal_power_products,
+    polynomial_ring,
     polynomial_ring_s,
 )
 from multid.weyl import WeightVector, WeylElement
@@ -46,6 +47,9 @@ def test_input_rejects_reserved_names():
     for bad in ("s", "Dx", "t1", "u2"):
         with pytest.raises(ValueError):
             make_input((bad,), ("%s^2" % bad,))
+    # an empty name is a ValueError too, not an IndexError
+    with pytest.raises(ValueError, match="nonempty"):
+        IdealInput(("",), (WeylElement.one(polynomial_ring(("",))),))
 
 
 def test_input_rejects_zero_data():
@@ -156,7 +160,7 @@ def test_If1_is_a_basis_under_the_restriction_order():
     inp = make_input(("x", "y"), ("x^2", "x*y", "y^4"))
     big = inp.weyl_sig().with_central(S_NAME)
     order = _elimination_order(big, polynomial_ring_s(inp.variables))
-    gens = [to_ipoly(g.lift(big), order) for g in compute_If1(inp).generators]
+    gens = [to_ipoly(g.lift(big)) for g in compute_If1(inp).generators]
     assert spairs_reduce_to_zero(big, gens, order)
     assert len(gens) == 22
 

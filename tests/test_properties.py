@@ -2,6 +2,7 @@
 
 import os
 from fractions import Fraction
+from math import gcd
 from unittest import mock
 
 from hypothesis import example, given, reject, settings, strategies as st
@@ -12,6 +13,7 @@ from multid.groebner import (
     LeftIdeal,
     TermOrder,
     _buchberger,
+    buchberger_ipolys,
     collect_stats,
     exact_divide,
     member,
@@ -171,19 +173,23 @@ def test_normal_form_difference_is_member(gens, h):
     I = LeftIdeal(SIG, gens)
     G = I.groebner(order)
     nf = normal_form(h, G, order)
-    assert I.contains(h - nf)
+    assert member(h - nf, I)
     if nf.is_zero():
-        assert I.contains(h)
+        assert member(h, I)
+
+
+# a nonzero element of SIG as a dict of small integer coefficients
+_weyl_terms = st.dictionaries(
+    st.tuples(*[st.integers(min_value=0, max_value=2)] * SIG.nslots),
+    st.sampled_from((-3, -2, -1, 1, 2, 3)),
+    min_size=1,
+    max_size=3,
+)
 
 
 def _weyl_ideal_and_permutation():
     gens = st.lists(
-        st.dictionaries(
-            st.tuples(*[st.integers(min_value=0, max_value=2)] * SIG.nslots),
-            st.sampled_from((-3, -2, -1, 1, 2, 3)),
-            min_size=1,
-            max_size=3,
-        ).map(lambda terms: WeylElement(SIG, terms)),
+        _weyl_terms.map(lambda terms: WeylElement(SIG, terms)),
         min_size=1,
         max_size=3,
     )
@@ -235,8 +241,65 @@ def test_normal_selection_gives_the_same_basis(gens_and_permutation):
         try:
             basis = LeftIdeal(SIG, gens).groebner_ipolys(order)
             for gs in (gens, permuted):
-                ipolys = [to_ipoly(g, order) for g in gs]
+                ipolys = [to_ipoly(g) for g in gs]
                 normal, _ = _buchberger(SIG, ipolys, order, False)
                 assert normal == basis
+        except ComputationTimeout:
+            reject()
+
+
+def _sorted_primitive(terms: dict, order) -> list:
+    """terms as a term list sorted descending by `TermOrder.key`, primitive,
+    with a positive leading coefficient."""
+    ip = sorted(terms.items(), key=lambda t: order.key(t[0]), reverse=True)
+    g = 0
+    for _, c in ip:
+        g = gcd(g, c)
+    g = g if ip[0][1] > 0 else -g
+    return [(e, c // g) for e, c in ip]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(_weyl_terms, min_size=1, max_size=3),
+    _weyl_terms,
+    st.lists(st.sampled_from((-6, -1, 2, 3)), min_size=4, max_size=4),
+    st.randoms(use_true_random=False),
+)
+def test_core_takes_term_lists_in_any_order_and_scale(gens, h, scales, rnd):
+    # the Groebner core sorts and normalizes its input itself: term lists
+    # shuffled and rescaled give what sorted primitive ones give
+    order = TermOrder.grevlex(SIG)
+
+    def mess(ip, k):
+        ip = [(e, k * c) for e, c in ip]
+        rnd.shuffle(ip)
+        return ip
+
+    tidy = [_sorted_primitive(g, order) for g in gens + [h]]
+    messy = [mess(ip, k) for ip, k in zip(tidy, scales)]
+    *G_tidy, h_tidy = [WeylElement(SIG, dict(ip)) for ip in tidy]
+    *G_messy, h_messy = [
+        WeylElement(SIG, {e: Fraction(c, 4) for e, c in ip}) for ip in messy
+    ]
+    k = Fraction(scales[len(gens)], 4)
+    # the same budget as the tests above
+    with mock.patch.dict(os.environ, {TIME_LIMIT_ENV: "500"}), collect_stats():
+        try:
+            basis, stats = buchberger_ipolys(SIG, tidy[:-1], order)
+            got, got_stats = buchberger_ipolys(SIG, messy[:-1], order)
+            assert got == basis
+            stats.millis = got_stats.millis = 0
+            assert got_stats == stats
+            assert spairs_reduce_to_zero(SIG, messy[:-1], order) == (
+                spairs_reduce_to_zero(SIG, tidy[:-1], order)
+            )
+            assert spairs_reduce_to_zero(SIG, [mess(g, -2) for g in basis], order)
+            assert member(h_messy, LeftIdeal(SIG, G_messy), order) == member(
+                h_tidy, LeftIdeal(SIG, G_tidy), order
+            )
+            assert normal_form(h_messy, G_messy, order) == normal_form(
+                h_tidy, G_tidy, order
+            ).scale(k)
         except ComputationTimeout:
             reject()
