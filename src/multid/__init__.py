@@ -17,7 +17,6 @@ from .errors import (
     ZeroDivisor,
 )
 from .groebner import (
-    GBStats,
     LeftIdeal,
     TermOrder,
     colon,
@@ -55,7 +54,8 @@ from .pipeline import (
     build_Jf_m,
     compute_If1,
 )
-from .rationals import FactoredBPoly, Rational, UPoly, format_rational, parse_rational
+from .rationals import FactoredBPoly, UPoly, format_rational, parse_rational
+from .request import GBStats
 from .weyl import Signature, WeightVector, WeylElement, build_sigma
 
 __all__ = [name for name in dir() if not name.startswith("_")]

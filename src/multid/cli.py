@@ -14,7 +14,6 @@ import json
 import sys
 from fractions import Fraction
 
-from . import groebner
 from .errors import (
     ComputationTimeout,
     InvalidSetting,
@@ -22,12 +21,12 @@ from .errors import (
     ParseError,
     ZeroDivisor,
 )
-from .groebner import GBStats
 from .multiplier import jumping_coefficients, lct, multiplier_ideal
 from .oracles import cross_check, verify_minimality
 from .parsing import parse_polynomial
 from .pipeline import IdealInput, bfunction
 from .rationals import format_rational, parse_rational
+from .request import GBStats, collect_stats
 
 USAGE_ERROR, PARSE_ERROR, COMPUTATION_ERROR = 1, 2, 3
 
@@ -184,7 +183,7 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return 0 if e.code == 0 else USAGE_ERROR
     try:
-        with groebner.collect_stats() as stats:
+        with collect_stats() as stats:
             result, lines = _run(args)
     except InvalidSetting as e:
         print(f"usage error: {e}", file=sys.stderr)

@@ -63,8 +63,7 @@ from .errors import (
     SignatureMismatch,
     ZeroDivisor,
 )
-# TIME_LIMIT_ENV is not used here, but stays importable from this module
-from .request import _REQUEST, TIME_LIMIT_ENV, GBStats, check_deadline, collect_stats
+from .request import _REQUEST, GBStats, check_deadline, collect_stats
 from .weyl import Packing, Signature, WeightVector, WeylElement, mono_mul
 
 
@@ -658,7 +657,7 @@ def eliminate(
     order = _elimination_order(sig, target, then)
     basis = [from_ipoly(sig, g) for g in I.groebner_ipolys(order)]
     return LeftIdeal(
-        target, [g.project(target) for g in basis if g.support_slots() <= keep]
+        target, [g.over(target) for g in basis if g.support_slots() <= keep]
     )
 
 
@@ -671,8 +670,8 @@ def intersect(I: LeftIdeal, J: LeftIdeal) -> LeftIdeal:
     big = sig.with_central(u_name)
     u = WeylElement.generator(big, u_name)
     one_minus_u = WeylElement.one(big) - u
-    gens = [u * g.lift(big) for g in I.generators]
-    gens += [one_minus_u * g.lift(big) for g in J.generators]
+    gens = [u * g.over(big) for g in I.generators]
+    gens += [one_minus_u * g.over(big) for g in J.generators]
     return eliminate(LeftIdeal(big, gens), sig)
 
 
@@ -686,7 +685,7 @@ def weight_homogenization(I: LeftIdeal, vw: WeightVector) -> LeftIdeal:
     u2 = _fresh_name(I.sig, "u2")
     big = I.sig.with_central(u1, u2)
     big_vw = WeightVector(big, vw.slot_weights + (1, -1))
-    gens = [g.lift(big).homogenize(big_vw, u1) for g in I.generators]
+    gens = [g.over(big).homogenize(big_vw, u1) for g in I.generators]
     gens.append(
         WeylElement.generator(big, u1) * WeylElement.generator(big, u2)
         - WeylElement.one(big)
@@ -710,7 +709,7 @@ def initial_ideal(I: LeftIdeal, vw: WeightVector) -> LeftIdeal:
     u1 = H.sig.central[-2]  # the fresh u1; u2 comes last
     K = eliminate(H, sig.with_central(u1))
     return LeftIdeal(
-        sig, [g.substitute_central(u1, 0).project(sig) for g in K.generators]
+        sig, [g.substitute_central(u1, 0).over(sig) for g in K.generators]
     )
 
 
@@ -739,7 +738,7 @@ def exact_divide(p: WeylElement, g: WeylElement) -> WeylElement:
         e = max(rem)
         if not all(map(operator.le, le, e)):
             raise ZeroDivisor(f"{g} does not divide {p}")
-        q = rem[e] / glead
+        q = Fraction(rem[e]) / glead
         me = tuple(a - b for a, b in zip(e, le))
         quot[me] = q
         for ge, gc in g.terms.items():
@@ -775,21 +774,21 @@ def saturate(I: LeftIdeal, p: WeylElement) -> LeftIdeal:
     y_name = _fresh_name(sig, "y")
     big = sig.with_central(y_name)
     y = WeylElement.generator(big, y_name)
-    gens = [g.lift(big) for g in I.generators]
-    gens.append(y * p.lift(big) - WeylElement.one(big))
+    gens = [g.over(big) for g in I.generators]
+    gens.append(y * p.over(big) - WeylElement.one(big))
     return eliminate(LeftIdeal(big, gens), sig)
 
 
-def member(h: WeylElement, I: LeftIdeal, order: TermOrder | None = None) -> bool:
-    """True iff h reduces to zero against a Groebner basis of I."""
+def member(h: WeylElement, I: LeftIdeal) -> bool:
+    """True iff h reduces to zero against the grevlex Groebner basis of I
+    (membership does not depend on the order)."""
     if h.sig != I.sig:
         raise SignatureMismatch("member needs a common signature")
     if h.is_zero():
         return True
     if I.is_zero_ideal():
         return False
-    if order is None:
-        order = TermOrder.grevlex(I.sig)
+    order = TermOrder.grevlex(I.sig)
     return not _remainder(I.sig, order, to_ipoly(h), I.groebner_ipolys(order))
 
 

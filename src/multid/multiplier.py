@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import ceil, floor
 
 from .errors import UnitIdeal, ZeroDivisor
-from .groebner import LeftIdeal, TermOrder, eliminate, saturate
+from .groebner import LeftIdeal, eliminate, saturate
 from .pipeline import (
     IdealInput,
     bfunction,
@@ -80,11 +80,6 @@ def _level_for(c: Fraction, lct_val: Fraction) -> int:
     return floor(c - lct_val) + 1
 
 
-def _reduced_generators(I: LeftIdeal) -> tuple[WeylElement, ...]:
-    """Canonical form of an ideal of C[x]: its reduced grevlex GB."""
-    return tuple(I.groebner(TermOrder.grevlex(I.sig)))
-
-
 def _multiplier_ideal_direct(input: IdealInput, c: Fraction) -> LeftIdeal:
     """J(a^c) for c < lct + m via saturation of J_f(m)."""
     J = build_Jf_m(input)
@@ -115,7 +110,7 @@ def multiplier_ideal_ideal(input: IdealInput, c: Fraction) -> LeftIdeal:
 
 def multiplier_ideal(input: IdealInput, c: Fraction) -> list[WeylElement]:
     """Reduced grevlex generators of J(a^c)."""
-    return list(_reduced_generators(multiplier_ideal_ideal(input, c)))
+    return multiplier_ideal_ideal(input, c).groebner()
 
 
 def _jump_candidates(input: IdealInput, cmax: Fraction, lct_val: Fraction):
@@ -159,7 +154,7 @@ def jumping_coefficients(input: IdealInput, cmax: Fraction) -> MultiplierFiltrat
     prev = (one,)
     if cmax >= lct_val:
         for c in _jump_candidates(input, cmax, lct_val):
-            gens = _reduced_generators(multiplier_ideal_ideal(input, c))
+            gens = tuple(multiplier_ideal(input, c))
             if gens != prev:
                 steps.append((c, gens))
                 prev = gens

@@ -205,7 +205,7 @@ def verify_minimality(b: FactoredBPoly, input: IdealInput) -> bool:
     """
     J = defining_ideal(input)
     sig = J.sig
-    g = input.g.lift(sig)
+    g = input.g.over(sig)
     for root in b.roots:
         dropped = expand_in_s(b.drop_one(root).factors, sig)
         if member(dropped * g, J):

@@ -146,7 +146,7 @@ def ann_fs_generators(input: IdealInput) -> list[WeylElement]:
     t_i - f_i for each i, and Dx_j + sum_i (df_i/dx_j) Dt_i for each j.
     """
     sig = input.weyl_sig()
-    fs = [fi.lift(sig) for fi in input.f]
+    fs = [fi.over(sig) for fi in input.f]
     gens = []
     for i, fi in enumerate(fs):
         gens.append(WeylElement.generator(sig, _t_names(input.r)[i]) - fi)
@@ -228,7 +228,7 @@ def expand_in_s(factors, sig: Signature) -> WeylElement:
 def _adjoin_s_and_restrict(input: IdealInput, gens) -> LeftIdeal:
     """D_Y[s](gens + <s - sigma>) cap C[x,s], for gens in D_Y or C[x]."""
     big = input.weyl_sig().with_central(S_NAME)
-    lifted = [h.lift(big) for h in gens]
+    lifted = [h.over(big) for h in gens]
     lifted.append(WeylElement.generator(big, S_NAME) - build_sigma(big))
     return eliminate(LeftIdeal(big, lifted), polynomial_ring_s(input.variables))
 
@@ -296,7 +296,7 @@ def _b_from_s_ideal(I: LeftIdeal) -> FactoredBPoly:
 
 def _b_of_colon(J: LeftIdeal, input: IdealInput) -> FactoredBPoly:
     """Monic generator of (J : g) cap C[s]."""
-    return _b_from_s_ideal(colon(J, input.g.lift(J.sig)))
+    return _b_from_s_ideal(colon(J, input.g.over(J.sig)))
 
 
 def bfunction(input: IdealInput) -> FactoredBPoly:
@@ -339,7 +339,7 @@ def bfunction_alg2(input: IdealInput) -> FactoredBPoly:
         raise UnsupportedM("the initial-ideal route is defined for m = 1")
     sig = input.weyl_sig()
     ann = LeftIdeal(sig, ann_fs_generators(input))
-    g = input.g.lift(sig)
+    g = input.g.over(sig)
     if g.is_constant():
         I0 = ann
     else:
@@ -348,7 +348,7 @@ def bfunction_alg2(input: IdealInput) -> FactoredBPoly:
     I2 = _adjoin_s_and_restrict(input, I1.generators)
     if g.is_constant():
         return _b_from_s_ideal(I2)
-    gs = input.g.lift(I2.sig)
+    gs = input.g.over(I2.sig)
     return _b_from_s_ideal(
         LeftIdeal(I2.sig, [exact_divide(h, gs) for h in I2.generators])
     )

@@ -1,8 +1,8 @@
 """Exact rational scalars and univariate polynomial arithmetic.
 
 The scalar type is ``fractions.Fraction`` (arbitrary precision, always stored
-in lowest terms with a positive denominator), re-exported as ``Rational``.
-Univariate polynomials over Q are dense coefficient lists in the variable s.
+in lowest terms with a positive denominator).  Univariate polynomials over Q
+are dense coefficient lists in the variable s.
 b-functions are kept fully factored as (root, multiplicity) pairs.
 """
 
@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import IrrationalResidue, ParseError
-
-Rational = Fraction
 
 NEG_INFINITY = float("-inf")
 

@@ -32,6 +32,7 @@ from .errors import (
     SignatureMismatch,
     ZeroElement,
 )
+from .rationals import format_rational
 from .request import check_deadline
 
 
@@ -532,29 +533,16 @@ class WeylElement:
                 del out[e]
         return WeylElement(self.sig, out)
 
-    def lift(self, big: Signature) -> "WeylElement":
-        """Re-express over a larger signature containing all our names."""
-        mapping = [big.slot_of(nm) for nm in self.sig.slot_names]
-        out = {}
-        for e, c in self.terms.items():
-            ne = [0] * big.nslots
-            for i, v in enumerate(e):
-                if v:
-                    ne[mapping[i]] = v
-            out[tuple(ne)] = c
-        return WeylElement(big, out)
+    def over(self, sig: Signature) -> "WeylElement":
+        """Re-express over sig, larger or smaller, matching slots by name.
 
-    def project(self, small: Signature) -> "WeylElement":
-        """Re-express over a smaller signature; unused slots must be zero."""
-        mapping = {}
-        for i, nm in enumerate(self.sig.slot_names):
-            try:
-                mapping[i] = small.slot_of(nm)
-            except KeyError:
-                mapping[i] = None
+        Raises ValueError when a term uses a slot whose name sig lacks.
+        """
+        slot = {n: i for i, n in enumerate(sig.slot_names)}
+        mapping = [slot.get(n) for n in self.sig.slot_names]
         out = {}
         for e, c in self.terms.items():
-            ne = [0] * small.nslots
+            ne = [0] * sig.nslots
             for i, v in enumerate(e):
                 if not v:
                     continue
@@ -565,7 +553,7 @@ class WeylElement:
                     )
                 ne[j] = v
             out[tuple(ne)] = c
-        return WeylElement(small, out)
+        return WeylElement(sig, out)
 
     # -- actions ----------------------------------------------------------------
 
@@ -599,16 +587,14 @@ class WeylElement:
 
 
 def build_sigma(sig: Signature) -> WeylElement:
-    """sigma = -(sum_i Dt_i t_i) = -sum_i t_i Dt_i - r, in normal order."""
+    """sigma = -(sum_i Dt_i t_i); the product's normal order is
+    -sum_i t_i Dt_i - r."""
     if sig.r < 1:
         raise NoTVariables("sigma needs at least one t-variable")
-    terms: dict = {(0,) * sig.nslots: Fraction(-sig.r)}
-    for i in range(sig.r):
-        e = [0] * sig.nslots
-        e[sig.t_slot(i)] = 1
-        e[sig.dt_slot(i)] = 1
-        terms[tuple(e)] = Fraction(-1)
-    return WeylElement(sig, terms)
+    sigma = WeylElement.zero(sig)
+    for t in sig.tvars:
+        sigma -= WeylElement.generator(sig, _dname(t)) * WeylElement.generator(sig, t)
+    return sigma
 
 
 def format_element(p: WeylElement) -> str:
@@ -625,19 +611,13 @@ def format_element(p: WeylElement) -> str:
                 continue
             factors.append(names[i] + (f"^{v}" if v > 1 else ""))
         mono = "*".join(factors)
+        coeff = format_rational(abs(c))
         if not mono:
-            body = _coeff_str(abs(c), bare=True)
+            body = coeff
         elif abs(c) == 1:
             body = mono
         else:
-            body = f"{_coeff_str(abs(c))}*{mono}"
+            body = f"({coeff})*{mono}" if "/" in coeff else f"{coeff}*{mono}"
         sign = "-" if c < 0 else ("+" if parts else "")
         parts.append(f"{sign + ' ' if sign and parts else sign}{body}")
     return " ".join(parts)
-
-
-def _coeff_str(c: Fraction, bare: bool = False) -> str:
-    if c.denominator == 1:
-        return str(c.numerator)
-    s = f"{c.numerator}/{c.denominator}"
-    return s if bare else f"({s})"

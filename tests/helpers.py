@@ -41,4 +41,4 @@ def eliminate_by_normal_selection(I, target, then=None):
     with collect_stats() as stats:
         basis, _ = _buchberger(sig, gens, order, False)
     elements = [from_ipoly(sig, g) for g in basis]
-    return [g.project(target) for g in elements if g.support_slots() <= keep], stats
+    return [g.over(target) for g in elements if g.support_slots() <= keep], stats

@@ -133,7 +133,7 @@ def test_criterion_3_sphere_cusp_table(sphere_cusp):
         "(s+2)*(z+1)*(z-1)",
     ]
     vars_s = XYZ + ("s",)
-    gens = [parse_polynomial(src, vars_s).project(ssig) for src in quoted_polys]
+    gens = [parse_polynomial(src, vars_s).over(ssig) for src in quoted_polys]
     assert ideal_equal(J, LeftIdeal(ssig, gens))
     _ok(3, "sphere-cusp two-step table and J_f(1) generator identity")
 

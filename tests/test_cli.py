@@ -171,7 +171,7 @@ def test_invalid_time_limit_is_a_usage_error(capsys, monkeypatch, value):
     assert "MULTID_TIME_LIMIT_MS" in err and repr(value) in err
     # library callers get a ValueError that says the same
     with pytest.raises(ValueError, match="MULTID_TIME_LIMIT_MS"):
-        with groebner.collect_stats():
+        with request.collect_stats():
             pass
 
 

@@ -232,7 +232,7 @@ def test_initial_ideal_selects_by_sugar():
     H = weight_homogenization(ann, vw)
     u1 = H.sig.central[-2]
     K, normal = eliminate_by_normal_selection(H, sig.with_central(u1))
-    assert list(J.generators) == [g.substitute_central(u1, 0).project(sig) for g in K]
+    assert list(J.generators) == [g.substitute_central(u1, 0).over(sig) for g in K]
     assert by_sugar.spairs < normal.spairs
 
 
@@ -373,6 +373,13 @@ def test_exact_divide():
     p = pol("x^2*y+x*y^2", XY)
     g = pol("x*y", XY)
     assert exact_divide(p, g) == pol("x+y", XY)
+    # x^2 - 1 = (3x + 3) * ((1/3)x - 1/3), all built with int coefficients
+    sig = Signature(xvars=("x",))
+    p = WeylElement(sig, {(2, 0): 1, (0, 0): -1})
+    g = WeylElement(sig, {(1, 0): 3, (0, 0): 3})
+    q = exact_divide(p, g)
+    assert q == WeylElement(sig, {(1, 0): Fraction(1, 3), (0, 0): Fraction(-1, 3)})
+    assert all(type(c) is Fraction for c in q.terms.values())
 
 
 # -- brute-force commutative oracle -------------------------------------------

@@ -127,7 +127,7 @@ def test_build_If_dehomogenizes_to_ann():
         for g in I.generators
     ]
     # The u1u2-1 generator collapses to 0; the rest match Ann exactly.
-    recovered = [p.project(wsig) for p in dehom if not p.is_zero()]
+    recovered = [p.over(wsig) for p in dehom if not p.is_zero()]
     assert recovered == ann
 
 
@@ -160,7 +160,7 @@ def test_If1_is_a_basis_under_the_restriction_order():
     inp = make_input(("x", "y"), ("x^2", "x*y", "y^4"))
     big = inp.weyl_sig().with_central(S_NAME)
     order = _elimination_order(big, polynomial_ring_s(inp.variables))
-    gens = [to_ipoly(g.lift(big)) for g in compute_If1(inp).generators]
+    gens = [to_ipoly(g.over(big)) for g in compute_If1(inp).generators]
     assert spairs_reduce_to_zero(big, gens, order)
     assert len(gens) == 22
 

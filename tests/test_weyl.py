@@ -147,13 +147,19 @@ def test_substitute_central_only():
         p.substitute_central("x", 1)
 
 
-def test_lift_project_roundtrip():
+def test_over_roundtrip():
     small = Signature(xvars=("x",))
     big = Signature(xvars=("x", "y"), central=("s",))
     p = gen(small, "x") * gen(small, "Dx") + WeylElement.one(small)
-    assert p.lift(big).project(small) == p
+    assert p.over(big).over(small) == p
     with pytest.raises(ValueError):
-        (gen(big, "y")).project(small)
+        (gen(big, "y")).over(small)
+    # a target may lack a name whose slot is zero in every term
+    other = Signature(xvars=("x",), central=("s",))
+    assert p.over(big).over(other) == p.over(other)
+    # a nonzero slot missing from the target cannot be re-expressed
+    with pytest.raises(ValueError, match="absent from target"):
+        p.over(Signature(xvars=("y",)))
 
 
 def test_total_degree_and_polynomial_predicates():
