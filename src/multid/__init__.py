@@ -25,7 +25,6 @@ from .groebner import (
     initial_ideal,
     intersect,
     member,
-    normal_form,
     saturate,
     weight_homogenization,
 )

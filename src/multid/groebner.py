@@ -31,7 +31,14 @@ unpacked once on the way out; so the core alone orders and normalizes
 term lists.  A run whose monomials would outgrow the fields raises
 PackingOverflow before any field carries and starts again with wider
 fields, so it never returns a wrong basis.  All reduction arithmetic is
-fraction free.
+fraction free, and the reducer has one mode: it returns the remainder as a
+primitive term list, known only up to a rational factor, which is all a
+basis or a membership test needs.
+
+The ideal layer has one canonical basis, the reduced monic grevlex basis
+of `LeftIdeal.groebner`, and one membership test, `member`, which reduces
+against it.  Other orders are used only where an elimination asks for
+them (`eliminate` and the operations built on it).
 
 One Buchberger loop computes every basis, and the top row of the term
 order picks its pair selection.  A top row that weighs a slot of the Weyl
@@ -185,18 +192,17 @@ def _reduce_full(
     leads: list,
     degrees: list,
     stats: GBStats,
-    exact: bool = False,
     divcache: dict | None = None,
 ) -> list:
-    """Full normal form of (order int, coeff) terms against packed G.
+    """Full normal form of (order int, coeff) terms against packed G, as a
+    primitive packed term list: empty exactly when the terms reduce to zero.
 
     leads holds the lead exponent ints of G and degrees their largest
     total degrees.  Fraction free: the working polynomial p and the
     remainder r are integer dicts keyed by order int, at one scale; a step
     that multiplies p by u multiplies r too, and the periodic content
-    removal divides both.  By default the result is a primitive packed
-    term list; with exact=True it is r divided by the scale, as (order
-    int, Fraction) pairs, so that input - result lies in <G>.
+    removal divides both, so the remainder is known only up to a rational
+    factor.
     """
     if divcache is None:
         divcache = {}
@@ -211,7 +217,6 @@ def _reduce_full(
     # a min-heap of negated order ints pops the largest term first
     heap = [-o for o in p]
     heapq.heapify(heap)
-    scale = Fraction(1)
     # a step only adds terms below the one it reduces, so terms reach r in
     # descending order
     r: dict = {}
@@ -251,7 +256,6 @@ def _reduce_full(
                 p[k] *= u
             for k in r:
                 r[k] *= u
-            scale *= u
         prod = mono_mul(pk, o - lo, e - le, g, degrees[hit])
         for po, pc in prod.items():
             if po == o:
@@ -274,11 +278,8 @@ def _reduce_full(
                     p[k] //= g0
                 for k in r:
                     r[k] //= g0
-                scale /= g0
     if not r:
         return []
-    if exact:
-        return [(o, c / scale) for o, c in r.items()]
     r = _content_normalize(r, next(iter(r)))
     for v in r.values():
         stats.note_coeff(v)
@@ -512,24 +513,6 @@ def _interreduce(pk: Packing, G: list, stats: GBStats) -> list:
     return out
 
 
-def _remainder(
-    sig: Signature, order: TermOrder, ip: list, basis: list, exact: bool = False
-) -> list:
-    """`_reduce_full` of the integer term list ip against basis, unpacked:
-    primitive (exp, int) pairs, or with exact=True (exp, Fraction) pairs
-    such that ip - result lies in <basis>."""
-
-    def run(pk: Packing, polys: list) -> list:
-        ip, *G = polys
-        nf = _reduce_full(
-            pk, [(o, c) for o, _, c in ip], G, [g[0][1] for g in G],
-            [_degree(pk, g) for g in G], GBStats(), exact=exact,
-        )
-        return [(pk.unpack(pk.exp_of(t[0])), t[-1]) for t in nf]
-
-    return _packed(sig, order, [ip] + basis, run)
-
-
 def spairs_reduce_to_zero(sig: Signature, G: list, order: TermOrder) -> bool:
     """Verify the Groebner property: every S-pair reduces to zero.
 
@@ -584,36 +567,14 @@ class LeftIdeal:
         self._cache[order.rows] = basis
         return basis
 
-    def groebner(self, order: TermOrder | None = None) -> list[WeylElement]:
-        """Reduced monic Groebner basis (unique for the ideal and order)."""
-        if order is None:
-            order = TermOrder.grevlex(self.sig)
+    def groebner(self) -> list[WeylElement]:
+        """The reduced monic grevlex Groebner basis, unique for the ideal."""
+        order = TermOrder.grevlex(self.sig)
         return [from_ipoly(self.sig, g) for g in self.groebner_ipolys(order)]
 
     def __repr__(self) -> str:
         gens = ", ".join(str(g) for g in self.generators)
         return f"LeftIdeal<{gens}>"
-
-
-def normal_form(
-    P: WeylElement, G: list[WeylElement], order: TermOrder
-) -> WeylElement:
-    """Remainder of P on division by G; P - normal_form(P) lies in <G>.
-
-    The result is zero exactly when P reduces to zero, and no remainder
-    term is divisible by a leading exponent of G.
-    """
-    if any(g.sig != P.sig for g in G):
-        raise SignatureMismatch("normal_form needs a common signature")
-    if P.is_zero():
-        return P
-    sig = P.sig
-    iP = to_ipoly(P)
-    iG = [to_ipoly(g) for g in G if not g.is_zero()]
-    nf = _remainder(sig, order, iP, iG, exact=True)
-    # to_ipoly scaled every term of P alike; undo that (P may hold ints)
-    factor = Fraction(P.terms[iP[0][0]], iP[0][1])
-    return WeylElement(sig, {e: c * factor for e, c in nf})
 
 
 def _fresh_name(sig: Signature, base: str) -> str:
@@ -789,7 +750,15 @@ def member(h: WeylElement, I: LeftIdeal) -> bool:
     if I.is_zero_ideal():
         return False
     order = TermOrder.grevlex(I.sig)
-    return not _remainder(I.sig, order, to_ipoly(h), I.groebner_ipolys(order))
+
+    def run(pk: Packing, polys: list) -> bool:
+        ip, *G = polys
+        return not _reduce_full(
+            pk, [(o, c) for o, _, c in ip], G, [g[0][1] for g in G],
+            [_degree(pk, g) for g in G], GBStats(),
+        )
+
+    return _packed(I.sig, order, [to_ipoly(h)] + I.groebner_ipolys(order), run)
 
 
 def ideal_equal(I: LeftIdeal, J: LeftIdeal) -> bool:

@@ -141,13 +141,6 @@ class WeightVector:
             slots[sig.dt_slot(i)] = 1
         return WeightVector(sig, slots)
 
-    @staticmethod
-    def by_name(sig: Signature, weights: dict[str, int]) -> "WeightVector":
-        slots = [0] * sig.nslots
-        for name, w in weights.items():
-            slots[sig.slot_of(name)] = int(w)
-        return WeightVector(sig, slots)
-
     def is_graded(self) -> bool:
         """True when v+w = 0 on every variable/differential pair."""
         sig = self.sig
@@ -383,9 +376,6 @@ class WeylElement:
 
     def is_constant(self) -> bool:
         return not self.terms or set(self.terms) == {(0,) * self.sig.nslots}
-
-    def constant_value(self) -> Fraction:
-        return self.terms.get((0,) * self.sig.nslots, Fraction(0))
 
     def is_polynomial(self) -> bool:
         """True when no term carries a differential exponent."""

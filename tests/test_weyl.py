@@ -87,10 +87,14 @@ def test_initial_form():
 
 
 def test_initial_form_rejects_filtration_only_weights():
-    bad = WeightVector.by_name(XT, {"x": 1, "Dx": 1})
+    # weight 1 on both x and Dx: a filtration, not a grading
+    bad = WeightVector(XT, (1, 0, 1, 0))
     assert not bad.is_graded()
     with pytest.raises(NonGradedWeight):
         gen(XT, "x").initial_form(bad)
+    sig = XT.with_central("u1")
+    with pytest.raises(NonGradedWeight):
+        gen(sig, "x").homogenize(WeightVector(sig, (1, 0, 1, 0, 1)), "u1")
 
 
 def test_homogenize():
@@ -100,7 +104,7 @@ def test_homogenize():
     p = dt + t * t
     h = p.homogenize(vw, "u1")
     assert h == dt + t * t * u1 * u1 * u1
-    weighted = WeightVector.by_name(sig, {"t": -1, "Dt": 1, "u1": 1})
+    weighted = WeightVector(sig, vw.slot_weights[:-1] + (1,))
     assert h.is_homogeneous(weighted)
     assert h.substitute_central("u1", 1) == p
     # Already homogeneous elements are fixed points.
@@ -122,7 +126,7 @@ def test_build_sigma():
     )
     assert s2 == expect
     sig3 = Signature(tvars=("t1", "t2", "t3"))
-    assert build_sigma(sig3).constant_value() == -3
+    assert build_sigma(sig3).terms[(0,) * sig3.nslots] == -3
     with pytest.raises(NoTVariables):
         build_sigma(XY)
 
