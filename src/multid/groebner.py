@@ -21,19 +21,23 @@ order and at any scale, as `to_ipoly` makes them.  Bases come back
 primitive, with positive leading coefficients, and sorted descending.
 The Buchberger loop, the reducer, the S-pairs and the interreduction run
 on packed monomials instead (`weyl.Packing`, after Monagan and Pearce,
-"Sparse polynomial division using a heap", JSC 46, 2011): a term is an
-(order int, exponent int, coeff) triple, where order ints compare like
-`TermOrder.key`, key the dicts and, negated, the reducer's heap, and
-exponent ints test divisibility and form lcms with a few integer
-operations.  `_packed` packs the input once on the way in, sorting each
-list by order int, with fields sized from its degrees, and the result is
-unpacked once on the way out; so the core alone orders and normalizes
-term lists.  A run whose monomials would outgrow the fields raises
-PackingOverflow before any field carries and starts again with wider
-fields, so it never returns a wrong basis.  All reduction arithmetic is
-fraction free, and the reducer has one mode: it returns the remainder as a
-primitive term list, known only up to a rational factor, which is all a
-basis or a membership test needs.
+"Sparse polynomial division using a heap", JSC 46, 2011): a polynomial is
+a flat list o1, c1, o2, c2, ... of order ints and coefficients, sorted
+descending by order int.  Order ints compare like `TermOrder.key`, key the
+dicts and, negated, the reducer's heap; the exponent int of a monomial,
+which `Packing.exp_of` derives from its order int, tests divisibility and
+forms lcms with a few integer operations.  `_packed` packs the input once
+on the way in, sorting each list by order int, with fields sized from its
+degrees, and the result is unpacked once on the way out; so the core alone
+orders and normalizes term lists.  A run whose monomials would outgrow the
+fields raises PackingOverflow before any field carries and starts again
+with wider fields, so it never returns a wrong basis.  All reduction
+arithmetic is fraction free, and the reducer has one mode: it returns the
+remainder as a primitive polynomial, known only up to a rational factor,
+which is all a basis or a membership test needs.  Every reduction, S-pair
+and interreduction goes through one `_Basis` per packing: the elements
+with a divisor index on their leads and, kept for the run, their products
+with the differential parts of multipliers.
 
 The ideal layer has one canonical basis, the reduced monic grevlex basis
 of `LeftIdeal.groebner`, and one membership test, `member`, which reduces
@@ -157,18 +161,18 @@ def _packed(sig: Signature, order: TermOrder, polys: list, run):
     """run(pk, packed polys) under a `Packing` of sig and order.
 
     polys are integer term lists with exponent tuples, in any order; each
-    is handed to run as a list of (order int, exponent int, coeff)
-    triples sorted descending by order int.  The fields start at
-    _HEADROOM times the largest input degree; if run raises
-    PackingOverflow, it runs again from the start with one more bit per
-    field, so a result never comes from a carried field.
+    is handed to run as a flat list of order ints and coefficients, sorted
+    descending by order int.  The fields start at _HEADROOM times the
+    largest input degree; if run raises PackingOverflow, it runs again from
+    the start with one more bit per field, so a result never comes from a
+    carried field.
     """
     deg = max((sum(e) for ip in polys for e, _ in ip), default=0)
     bound = _HEADROOM * max(deg, 1)
     while True:
         pk = Packing(sig, order.rows, bound)
         packed = [
-            sorted((pk.pack(e) + (c,) for e, c in ip), reverse=True)
+            _flat(sorted(((pk.pack(e)[0], c) for e, c in ip), reverse=True))
             for ip in polys
         ]
         try:
@@ -177,38 +181,36 @@ def _packed(sig: Signature, order: TermOrder, polys: list, run):
             bound = 2 * pk.limit + 1
 
 
+def _flat(pairs) -> list:
+    """The flat list o1, c1, o2, c2, ... of (order int, coeff) pairs.
+
+    A list, not a tuple: the interpreter keeps up to 2000 freed tuples of
+    each length below 20 for reuse, and the many short-lived polynomials
+    and products of a run would hold that memory after it ends.
+    """
+    return list(itertools.chain.from_iterable(pairs))
+
+
+def _pairs(flat):
+    """The (order int, coeff) pairs of a flat list."""
+    it = iter(flat)
+    return zip(it, it)
+
+
 def _unpack(pk: Packing, ip: list) -> list:
-    return [(pk.unpack(e), c) for _, e, c in ip]
+    return [(pk.unpack(pk.exp_of(o)), c) for o, c in _pairs(ip)]
 
 
 def _degree(pk: Packing, ip: list) -> int:
-    return max(pk.degree(o) for o, _, _ in ip)
+    return max(pk.degree(o) for o in ip[::2])
 
 
-def _reduce_full(
-    pk: Packing,
-    terms,
-    G: list,
-    leads: list,
-    degrees: list,
-    stats: GBStats,
-    divcache: dict | None = None,
-) -> list:
-    """Full normal form of (order int, coeff) terms against packed G, as a
-    primitive packed term list: empty exactly when the terms reduce to zero.
-
-    leads holds the lead exponent ints of G and degrees their largest
-    total degrees.  Fraction free: the working polynomial p and the
-    remainder r are integer dicts keyed by order int, at one scale; a step
-    that multiplies p by u multiplies r too, and the periodic content
-    removal divides both, so the remainder is known only up to a rational
-    factor.
-    """
-    if divcache is None:
-        divcache = {}
-    guards, low, shift = pk.guards, pk.low, pk.width + 1
+def _working(ip: list) -> tuple[dict, list]:
+    """The working polynomial of a packed polynomial, as `_Basis.reduce`
+    takes it: an order int -> coeff dict without zero entries and a heap
+    of its negated order ints."""
     p: dict = {}
-    for o, c in terms:
+    for o, c in _pairs(ip):
         nc = p.get(o, 0) + c
         if nc:
             p[o] = nc
@@ -217,73 +219,213 @@ def _reduce_full(
     # a min-heap of negated order ints pops the largest term first
     heap = [-o for o in p]
     heapq.heapify(heap)
-    # a step only adds terms below the one it reduces, so terms reach r in
-    # descending order
-    r: dict = {}
-    steps = 0
-    while heap:
-        o = -heapq.heappop(heap)
-        c = p.pop(o, 0)
-        if not c:
-            continue
-        lo = o & low
-        e = lo - ((lo << shift) & low)  # pk.exp_of(o)
-        # divisor lookup: a hit stays valid as the basis grows and is kept
-        # as its index; a miss only needs the elements added since it was
-        # recorded, and is kept as ~len(leads)
-        hit = divcache.get(o)
-        if hit is None or hit < 0:
-            start = 0 if hit is None else ~hit
-            hit = ~len(leads)
-            for i in range(start, len(leads)):
-                if not (e - leads[i]) & guards:
-                    hit = i
-                    break
-            divcache[o] = hit
-            if hit < 0:
+    return p, heap
+
+
+class _Basis:
+    """The reducers of one Groebner run under one packing.
+
+    Holds the packed elements in the order they were added, with the
+    exponent ints of their leads, their largest total degrees and their
+    supports, and two structures that make a reduction step cheap:
+
+    - a divisor index on the leads.  For each slot that some lead uses,
+      rows maps the slot's shift to a list whose entry v is the bitmask of
+      the elements whose lead has at most v in that slot, for v up to the
+      largest such exponent; a larger v admits every element.  The AND of
+      a monomial's entries over those rows is the set of elements whose
+      lead divides it, and its lowest bit is the first of them, the
+      divisor a scan of the leads in order finds.
+    - the multiples.  In normal order a multiplier m = x^a D^b gives
+      m g = x^a (D^b g), and x^a acts on order ints as a shift, since the
+      packing is linear.  So m g is g's terms shifted by m's order int,
+      plus the terms that normal ordering adds to D^b g below its shift of
+      g, shifted by x^a.  Those are computed by `mono_mul` once per element
+      and D^b and kept as a flat list of (order int less D^b's, coeff)
+      pairs, for the life of the basis: one `_packed` attempt.
+    """
+
+    __slots__ = (
+        "pk", "elems", "leads", "degrees", "supports", "lower", "rows",
+        "index", "all",
+    )
+
+    def __init__(self, pk: Packing, elems=()):
+        self.pk = pk
+        self.elems: list = []  # packed polynomials
+        self.leads: list = []  # lead exponent ints
+        self.degrees: list = []  # largest total degree of each element
+        self.supports: list = []  # supports of the whole elements
+        self.lower: list = []  # per element: D^b's exponent int -> flat list
+        self.rows: dict = {}
+        self.index: list = []  # (shift, len(row), row) of each row
+        self.all = 0  # one bit per element
+        for ip in elems:
+            self.add(ip)
+
+    def add(self, ip: list) -> int:
+        """Append the packed polynomial ip as an element; returns its index."""
+        pk = self.pk
+        i = len(self.elems)
+        bit, old = 1 << i, self.all
+        self.all = old | bit
+        lead = pk.exp_of(ip[0])
+        for sh in pk.shifts:
+            v = (lead >> sh) & pk.vmask
+            row = self.rows.get(sh)
+            if row is None:
+                if not v:
+                    continue  # every lead has 0 here: no constraint
+                # the elements so far have 0 in this slot
+                row = self.rows[sh] = [old] * (v + 1)
+            elif v >= len(row):
+                row.extend([old] * (v + 1 - len(row)))
+            for k in range(v, len(row)):
+                row[k] |= bit
+        self.index = [(sh, len(row), row) for sh, row in self.rows.items()]
+        low, shift = pk.low, pk.width + 1
+        sup = 0
+        for o in ip[::2]:
+            lo = o & low
+            sup |= lo - ((lo << shift) & low)  # pk.exp_of(o)
+        self.elems.append(ip)
+        self.leads.append(lead)
+        self.degrees.append(_degree(pk, ip))
+        self.supports.append(pk.support(sup))
+        self.lower.append({})
+        return i
+
+    def divisor(self, e: int, skip: int = -1) -> int:
+        """The index of the first element other than skip whose lead
+        divides the exponent int e, or -1 for none."""
+        m = self.all if skip < 0 else self.all & ~(1 << skip)
+        vmask = self.pk.vmask
+        for sh, n, row in self.index:
+            v = (e >> sh) & vmask
+            if v < n:
+                m &= row[v]
+                if not m:
+                    return -1
+        return (m & -m).bit_length() - 1
+
+    def addmul(self, p: dict, heap: list, i: int, mo: int, me: int, c: int):
+        """p += c * (m G[i] less its lead), m the monomial with order int mo
+        and exponent int me; order ints new to p go on the heap.
+
+        Raises PackingOverflow when the product could exceed the packing's
+        degree limit, as `mono_mul` would.
+        """
+        pk = self.pk
+        if ((mo >> pk.dshift) & pk.vmask) + self.degrees[i] > pk.limit:
+            raise PackingOverflow(f"product degree exceeds {pk.limit}")
+        lower = ()
+        # D^b only reorders against the variables its differentials meet
+        db = ((me | pk.guards) - pk.ones) >> pk.nr * (pk.width + 1)
+        if db & self.supports[i] & pk.var_guards:
+            eb = me & pk.diff_bits
+            lower = self.lower[i].get(eb)
+            if lower is None:
+                ob = pk.order(eb)
+                g = self.elems[i]
+                prod = mono_mul(pk, ob, eb, _pairs(g), self.degrees[i])
+                for o, gc in _pairs(g):
+                    nc = prod.get(ob + o, 0) - gc
+                    if nc:
+                        prod[ob + o] = nc
+                    else:
+                        prod.pop(ob + o, None)
+                lower = _flat((o - ob, v) for o, v in prod.items())
+                self.lower[i][eb] = lower
+        tail = iter(self.elems[i])
+        next(tail), next(tail)  # the lead
+        below = iter(lower)
+        for terms in (zip(tail, tail), zip(below, below)):
+            for go, gc in terms:
+                po = mo + go
+                pc = p.get(po)
+                if pc is None:
+                    p[po] = c * gc
+                    heapq.heappush(heap, -po)
+                else:
+                    pc += c * gc
+                    if pc:
+                        p[po] = pc
+                    else:
+                        del p[po]
+
+    def spair(self, i: int, j: int, lo: int, lcm: int) -> tuple[dict, list]:
+        """The S-polynomial of elements i and j, whose leads have the lcm
+        with order int lo and exponent int lcm, as `reduce` takes it; the
+        leads cancel and are left out."""
+        (o1, c1), (o2, c2) = self.elems[i][:2], self.elems[j][:2]
+        e1, e2 = self.leads[i], self.leads[j]
+        d = gcd(c1, c2)
+        p: dict = {}
+        heap: list = []
+        self.addmul(p, heap, i, lo - o1, lcm - e1, c2 // d)
+        self.addmul(p, heap, j, lo - o2, lcm - e2, -(c1 // d))
+        return p, heap
+
+    def reduce(self, p: dict, heap: list, stats: GBStats, skip: int = -1) -> list:
+        """Full normal form of the working polynomial p, with heap, against
+        the elements other than skip, as a primitive packed polynomial:
+        empty exactly when p reduces to zero.
+
+        Fraction free: p and the remainder r are integer dicts keyed by
+        order int, at one scale; a step that multiplies p by u multiplies r
+        too, and the periodic content removal divides both, so the
+        remainder is known only up to a rational factor.
+        """
+        pk = self.pk
+        low, shift = pk.low, pk.width + 1
+        elems, leads = self.elems, self.leads
+        divisor, addmul = self.divisor, self.addmul
+        # a step only adds terms below the one it reduces, so terms reach r in
+        # descending order
+        r: dict = {}
+        steps = 0
+        while heap:
+            o = -heapq.heappop(heap)
+            c = p.pop(o, 0)
+            if not c:
+                continue
+            lo = o & low
+            e = lo - ((lo << shift) & low)  # pk.exp_of(o)
+            i = divisor(e, skip)
+            if i < 0:
                 r[o] = c
                 continue
-        stats.reductions += 1
-        steps += 1
-        if steps % 64 == 0:
-            check_deadline()
-        g = G[hit]
-        lo, le, lc = g[0]
-        d = gcd(c, lc)
-        u, mult = lc // d, c // d
-        if u != 1:
-            for k in p:
-                p[k] *= u
-            for k in r:
-                r[k] *= u
-        prod = mono_mul(pk, o - lo, e - le, g, degrees[hit])
-        for po, pc in prod.items():
-            if po == o:
-                continue  # cancelled by construction
-            nc = p.get(po, 0) - mult * pc
-            if nc:
-                if po not in p:
-                    heapq.heappush(heap, -po)
-                p[po] = nc
-            else:
-                p.pop(po, None)
-        if steps % 32 == 0 and p:
-            g0 = 0
-            for v in itertools.chain(p.values(), r.values()):
-                g0 = gcd(g0, v)
-                if g0 == 1:
-                    break
-            if g0 > 1:
+            stats.reductions += 1
+            steps += 1
+            if steps % 64 == 0:
+                check_deadline()
+            g = elems[i]
+            go, gc, ge = g[0], g[1], leads[i]
+            d = gcd(c, gc)
+            u, mult = gc // d, c // d
+            if u != 1:
                 for k in p:
-                    p[k] //= g0
+                    p[k] *= u
                 for k in r:
-                    r[k] //= g0
-    if not r:
-        return []
-    r = _content_normalize(r, next(iter(r)))
-    for v in r.values():
-        stats.note_coeff(v)
-    return [(o, pk.exp_of(o), c) for o, c in r.items()]
+                    r[k] *= u
+            addmul(p, heap, i, o - go, e - ge, -mult)
+            if steps % 32 == 0 and p:
+                g0 = 0
+                for v in itertools.chain(p.values(), r.values()):
+                    g0 = gcd(g0, v)
+                    if g0 == 1:
+                        break
+                if g0 > 1:
+                    for k in p:
+                        p[k] //= g0
+                    for k in r:
+                        r[k] //= g0
+        if not r:
+            return []
+        r = _content_normalize(r, next(iter(r)))
+        for v in r.values():
+            stats.note_coeff(v)
+        return _flat(r.items())
 
 
 def _product_criterion(pk: Packing, lf: int, sf: int, lg: int, sg: int) -> bool:
@@ -366,22 +508,17 @@ def _buchberger(sig: Signature, gens: list, order: TermOrder, sugar: bool) -> tu
 
 def _buchberger_packed(pk: Packing, gens: list, sugar: bool, stats: GBStats) -> list:
     guards = pk.guards
-    G: list = []
-    leads: list = []  # lead exponent ints
-    degrees: list = []  # largest total degree of each element
+    basis = _Basis(pk)
+    leads, supports = basis.leads, basis.supports
     lead_supports: list = []
-    supports: list = []  # supports of the whole elements
     sugars: list = []  # sugar of each element
-    divcache: dict = {}
     active: list = []  # indices of the elements that still form pairs
     heap: list = []  # (prio, i, j, lcm order int, lcm exponent int)
 
     def add_element(ip: list, sug: int):
-        h = len(G)
-        lo, lh, _ = ip[0]
-        dh = pk.degree(lo)
-        deg = _degree(pk, ip)
-        sug = max(sug, deg)
+        h = basis.add(ip)
+        lh, dh = leads[h], pk.degree(ip[0])
+        sug = max(sug, basis.degrees[h])
         # criterion B: lead(h) divides the lcm of an open pair (i, j) that
         # differs from the lcms of (i, h) and (j, h)
         kept = [
@@ -396,10 +533,7 @@ def _buchberger_packed(pk: Packing, gens: list, sugar: bool, stats: GBStats) -> 
             heap[:] = kept
             heapq.heapify(heap)
         mh = pk.support(lh)
-        sh = 0
-        for _, e, _ in ip:
-            sh |= e
-        sh = pk.support(sh)
+        sh = supports[h]
         new = [
             (
                 pk.lcm(leads[i], lh),
@@ -419,11 +553,7 @@ def _buchberger_packed(pk: Packing, gens: list, sugar: bool, stats: GBStats) -> 
         # criterion F: one pair per lcm, and none for an lcm where one pair
         # meets the product criterion
         by_product = {lcm for lcm, _, prod in new if prod}
-        G.append(ip)
-        leads.append(lh)
-        degrees.append(deg)
         lead_supports.append(mh)
-        supports.append(sh)
         sugars.append(sug)
         for lcm, i, prod in new:
             if prod:
@@ -433,7 +563,7 @@ def _buchberger_packed(pk: Packing, gens: list, sugar: bool, stats: GBStats) -> 
                 lo = lcm_orders[lcm]
                 if sugar:
                     d = pk.degree(lo)
-                    li = pk.degree(G[i][0][0])
+                    li = pk.degree(basis.elems[i][0])
                     prio = (max(sugars[i] + d - li, sug + d - dh), lo)
                 else:
                     prio = lo
@@ -443,12 +573,9 @@ def _buchberger_packed(pk: Packing, gens: list, sugar: bool, stats: GBStats) -> 
         active[:] = [i for i in active if (leads[i] - lh) & guards]
         active.append(h)
 
-    for ip in sorted((g for g in gens if g), key=lambda g: g[0][0]):
+    for ip in sorted((g for g in gens if g), key=lambda g: g[0]):
         check_deadline()
-        nf = _reduce_full(
-            pk, [(o, c) for o, _, c in ip], G, leads, degrees, stats,
-            divcache=divcache,
-        )
+        nf = basis.reduce(*_working(ip), stats)
         if nf:
             add_element(nf, _degree(pk, ip))
 
@@ -456,61 +583,31 @@ def _buchberger_packed(pk: Packing, gens: list, sugar: bool, stats: GBStats) -> 
         prio, i, j, lo, lcm = heapq.heappop(heap)
         stats.spairs += 1
         check_deadline()
-        sp = _spair(pk, G[i], G[j], lo, lcm, degrees[i], degrees[j])
         before = stats.reductions
-        nf = _reduce_full(pk, sp, G, leads, degrees, stats, divcache=divcache)
+        nf = basis.reduce(*basis.spair(i, j, lo, lcm), stats)
         if nf:
             add_element(nf, prio[0] if sugar else 0)
         else:
             stats.zero_spairs += 1
             stats.zero_steps += stats.reductions - before
 
-    return [_unpack(pk, g) for g in _interreduce(pk, G, stats)]
-
-
-def _spair(
-    pk: Packing, g1: list, g2: list, lo: int, lcm: int, deg1: int, deg2: int
-) -> list:
-    """(order int, coeff) terms of the S-polynomial of g1 and g2, whose
-    leads have the lcm with order int lo and exponent int lcm."""
-    (o1, e1, c1), (o2, e2, c2) = g1[0], g2[0]
-    d = gcd(c1, c2)
-    p1 = mono_mul(pk, lo - o1, lcm - e1, g1, deg1)
-    p2 = mono_mul(pk, lo - o2, lcm - e2, g2, deg2)
-    u1, u2 = c2 // d, c1 // d
-    out = [(o, u1 * c) for o, c in p1.items()]
-    out += [(o, -u2 * c) for o, c in p2.items()]
-    return out
+    return [_unpack(pk, g) for g in _interreduce(pk, basis.elems, stats)]
 
 
 def _interreduce(pk: Packing, G: list, stats: GBStats) -> list:
     """Auto-reduce a packed Groebner basis to its unique primitive reduced
     form, sorted ascending by lead."""
-    guards = pk.guards
     # minimalize: drop leads divisible by another lead
-    minimal: list = []
-    for g in sorted(G, key=lambda g: g[0][0]):
-        le = g[0][1]
-        if any(not (le - h[0][1]) & guards for h in minimal):
-            continue
-        minimal.append(g)
+    minimal = _Basis(pk)
+    for g in sorted(G, key=lambda g: g[0]):
+        if minimal.divisor(pk.exp_of(g[0])) < 0:
+            minimal.add(g)
     # tail-reduce each against the others; no other lead divides its lead,
     # so it keeps that lead and its place in the ascending order
-    leads = [g[0][1] for g in minimal]
-    degrees = [_degree(pk, g) for g in minimal]
-    out: list = []
-    for i, g in enumerate(minimal):
-        out.append(
-            _reduce_full(
-                pk,
-                [(o, c) for o, _, c in g],
-                minimal[:i] + minimal[i + 1 :],
-                leads[:i] + leads[i + 1 :],
-                degrees[:i] + degrees[i + 1 :],
-                stats,
-            )
-        )
-    return out
+    return [
+        minimal.reduce(*_working(g), stats, skip=i)
+        for i, g in enumerate(minimal.elems)
+    ]
 
 
 def spairs_reduce_to_zero(sig: Signature, G: list, order: TermOrder) -> bool:
@@ -521,14 +618,12 @@ def spairs_reduce_to_zero(sig: Signature, G: list, order: TermOrder) -> bool:
     """
 
     def run(pk: Packing, G: list) -> bool:
-        leads = [g[0][1] for g in G]
-        degrees = [_degree(pk, g) for g in G]
+        basis = _Basis(pk, G)
         stats = GBStats()
         for i in range(len(G)):
             for j in range(i + 1, len(G)):
-                lcm = pk.lcm(leads[i], leads[j])
-                sp = _spair(pk, G[i], G[j], pk.order(lcm), lcm, degrees[i], degrees[j])
-                if _reduce_full(pk, sp, G, leads, degrees, stats):
+                lcm = pk.lcm(basis.leads[i], basis.leads[j])
+                if basis.reduce(*basis.spair(i, j, pk.order(lcm), lcm), stats):
                     return False
         return True
 
@@ -753,10 +848,7 @@ def member(h: WeylElement, I: LeftIdeal) -> bool:
 
     def run(pk: Packing, polys: list) -> bool:
         ip, *G = polys
-        return not _reduce_full(
-            pk, [(o, c) for o, _, c in ip], G, [g[0][1] for g in G],
-            [_degree(pk, g) for g in G], GBStats(),
-        )
+        return not _Basis(pk, G).reduce(*_working(ip), GBStats())
 
     return _packed(I.sig, order, [to_ipoly(h)] + I.groebner_ipolys(order), run)
 

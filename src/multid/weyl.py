@@ -291,8 +291,8 @@ def mono_mul(pk: Packing, mo: int, me: int, terms, deg: int) -> dict:
     """Normal-order product of a monomial and a sum of terms, packed by pk.
 
     The monomial is given by its order int mo and exponent int me, the
-    terms as (order int, exponent int, coeff) triples of total degree at
-    most deg.  Returns an order int -> coeff dict without zero entries.
+    terms as (order int, coeff) pairs of total degree at most deg.
+    Returns an order int -> coeff dict without zero entries.
     Only the pairs where a differential of the monomial meets the same
     variable in a term are expanded: D^a x^b contributes c_k x^(b-k)
     D^(a-k), whose order int is the product's less k times the order int
@@ -303,15 +303,28 @@ def mono_mul(pk: Packing, mo: int, me: int, terms, deg: int) -> dict:
         raise PackingOverflow(f"product degree exceeds {pk.limit}")
     if not me & pk.diff_bits:
         # distinct exponents stay distinct, so nothing collides or cancels
-        return {mo + o: c for o, _, c in terms}
+        return {mo + o: c for o, c in terms}
     vmask, shifts, nr = pk.vmask, pk.shifts, pk.nr
+    low, field = pk.low, pk.width + 1
     diffs = []
+    met = 0  # the fields of the variables that the differentials meet
     for i in range(nr):
         a = (me >> shifts[nr + i]) & vmask
         if a:
             diffs.append((shifts[i], pk.pair_steps[i], a))
+            met |= vmask << shifts[i]
     out: dict = {}
-    for o, e, c in terms:
+    for o, c in terms:
+        lo = o & low
+        e = lo - ((lo << field) & low)  # pk.exp_of(o)
+        if not e & met:
+            po = mo + o
+            nc = out.get(po, 0) + c
+            if nc:
+                out[po] = nc
+            else:
+                del out[po]
+            continue
         partial = [(c, mo + o)]
         for sh, step, a in diffs:
             b = (e >> sh) & vmask
@@ -438,7 +451,7 @@ class WeylElement:
             return WeylElement.zero(self.sig)
         deg = other.total_degree()
         pk = _product_packing(self.sig, self.total_degree() + deg)
-        rhs = [pk.pack(e) + (c,) for e, c in other.terms.items()]
+        rhs = [(pk.pack(e)[0], c) for e, c in other.terms.items()]
         out: dict = {}
         for e1, c1 in self.terms.items():
             check_deadline()

@@ -113,7 +113,7 @@ def test_packed_mono_mul_matches_the_boundary_product(setup, coeffs):
         return
     deg = f.total_degree()
     pk = Packing(sig, rows, sum(m) + deg)
-    packed = [pk.pack(e) + (c,) for e, c in f.terms.items()]
+    packed = [(pk.pack(e)[0], c) for e, c in f.terms.items()]
     got = mono_mul(pk, *pk.pack(m), packed, deg)
     got = {pk.unpack(pk.exp_of(o)): c for o, c in got.items()}
     boundary = (WeylElement.monomial(sig, m) * f).terms
@@ -132,11 +132,11 @@ def test_overflow_guard_raises_before_a_field_carries():
     with pytest.raises(PackingOverflow):
         pk.pack((4, 0, 0, 0))
     mo, me = pk.pack((0, 0, 2, 0))  # Dx^2
-    terms = [pk.pack((2, 0, 0, 0)) + (1,)]  # x^2
+    terms = [(pk.pack((2, 0, 0, 0))[0], 1)]  # x^2
     with pytest.raises(PackingOverflow):
         mono_mul(pk, mo, me, terms, 2)
     # within the limit the product is exact: Dx^2 x = x Dx^2 + 2 Dx
-    terms = [pk.pack((1, 0, 0, 0)) + (1,)]
+    terms = [(pk.pack((1, 0, 0, 0))[0], 1)]
     got = mono_mul(pk, mo, me, terms, 1)
     assert {pk.unpack(pk.exp_of(o)): c for o, c in got.items()} == {
         (1, 0, 2, 0): 1,
@@ -166,3 +166,113 @@ def test_a_run_that_overflows_widens_and_keeps_its_basis():
     assert narrow == basis
     stats.millis = narrow_stats.millis = 0
     assert narrow_stats == stats
+
+
+# -- the reducer basis of a Groebner run (`groebner._Basis`) -----------------
+
+
+def _first_divisor(pk: Packing, leads: list, e: int, skip: int = -1) -> int:
+    """The first index other than skip whose lead divides e, by a scan."""
+    for i, lead in enumerate(leads):
+        if i != skip and not (e - lead) & pk.guards:
+            return i
+    return -1
+
+
+@settings(max_examples=100, deadline=None)
+@given(packed_setup(nexps=7), st.data())
+def test_divisor_index_finds_the_first_divisor_of_a_scan(setup, data):
+    sig, rows, exps, _ = setup
+    pk = Packing(sig, rows, 2 * max(sum(e) for e in exps))
+    # products of two leads, so that most probes have a divisor
+    probes = [pk.pack(tuple(map(sum, zip(a, b))))[1] for a in exps for b in exps]
+    probes += [pk.pack(e)[1] for e in exps]
+    basis = groebner._Basis(pk)
+    # each lead is added after the lookups against the leads before it
+    for exp in exps:
+        for e in probes:
+            assert basis.divisor(e) == _first_divisor(pk, basis.leads, e)
+        basis.add((pk.pack(exp)[0], 1))
+        skip = data.draw(st.integers(0, len(basis.leads) - 1))
+        for e in probes:
+            assert basis.divisor(e, skip) == _first_divisor(pk, basis.leads, e, skip)
+
+
+def _x_part_from(sig: Signature, m: tuple, other: tuple) -> tuple:
+    """m with its non-differential slots taken from other."""
+    diff = set(sig.diff_slots())
+    return tuple(m[i] if i in diff else other[i] for i in range(sig.nslots))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    packed_setup(nexps=5),
+    st.lists(st.integers(-4, 4), min_size=4, max_size=4),
+    st.integers(-3, 3).filter(bool),
+)
+def test_basis_multiple_matches_mono_mul(setup, coeffs, scale):
+    sig, rows, exps, _ = setup
+    terms = {e: c for e, c in zip(exps[1:], coeffs) if c}
+    if not terms:
+        return
+    deg = max(map(sum, terms))
+    pk = Packing(sig, rows, 3 * max(map(sum, exps)))
+    pairs = sorted(((pk.pack(e)[0], c) for e, c in terms.items()), reverse=True)
+    g = groebner._flat(pairs)
+    basis = groebner._Basis(pk)
+    basis.add(g)
+    lo, lc = pairs[0]
+    # the same differential part twice: the second multiple reads the cache
+    second = _x_part_from(sig, exps[0], exps[-1])
+    with mock.patch.object(groebner, "mono_mul", wraps=mono_mul) as spy:
+        for m in (exps[0], second):
+            mo, me = pk.pack(m)
+            p, heap = {}, []
+            basis.addmul(p, heap, 0, mo, me, scale)
+            want = mono_mul(pk, mo, me, pairs, deg)
+            assert want.pop(mo + lo) == lc
+            assert p == {o: scale * c for o, c in want.items()}
+            assert sorted(set(heap)) == sorted(-o for o in p)
+    assert spy.call_count <= 1
+
+
+def test_a_cached_differential_part_still_overflows():
+    sig = Signature(xvars=("x",))
+    pk = Packing(sig, (), 3)
+    assert pk.limit == 3
+    basis = groebner._Basis(pk)
+    basis.add((pk.pack((1, 0))[0], 1))  # x
+    p, heap = {}, []
+    basis.addmul(p, heap, 0, *pk.pack((0, 1)), 1)  # Dx x = x Dx + 1
+    assert {pk.unpack(pk.exp_of(o)): c for o, c in p.items()} == {(0, 0): 1}
+    assert basis.lower[0]
+    # x^2 Dx reuses Dx's product, but x^2 Dx x has degree 4
+    with pytest.raises(PackingOverflow):
+        basis.addmul({}, [], 0, *pk.pack((2, 1)), 1)
+    with pytest.raises(PackingOverflow):
+        mono_mul(pk, *pk.pack((2, 1)), [(pk.pack((1, 0))[0], 1)], 1)
+
+
+def test_a_run_that_overflows_on_a_cached_product_keeps_its_basis():
+    sig = Signature(xvars=("x", "y"))
+    x, y, dx, dy = (WeylElement.generator(sig, n) for n in ("x", "y", "Dx", "Dy"))
+    order = TermOrder.grevlex(sig)
+    gens = [to_ipoly(p) for p in ((y - x) * dx * dy, x * dy)]
+    basis, _ = buchberger_ipolys(sig, gens, order)
+    cached = []
+    real = groebner._Basis.addmul
+
+    def spy(self, p, heap, i, mo, me, c):
+        hit = (me & self.pk.diff_bits) in self.lower[i]
+        try:
+            return real(self, p, heap, i, mo, me, c)
+        except PackingOverflow:
+            cached.append(hit)
+            raise
+
+    with mock.patch.object(groebner, "_HEADROOM", 1), mock.patch.object(
+        groebner._Basis, "addmul", spy
+    ):
+        narrow, _ = buchberger_ipolys(sig, gens, order)
+    assert True in cached
+    assert narrow == basis
