@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 usage error, 2 parse error, 3 computation error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -31,7 +32,9 @@ from .request import GBStats, collect_stats
 USAGE_ERROR, PARSE_ERROR, COMPUTATION_ERROR = 1, 2, 3
 
 
-def _build_argparser() -> argparse.ArgumentParser:
+@functools.cache
+def _argparser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call; parsing leaves it as it is."""
     ap = argparse.ArgumentParser(
         prog="multid",
         description="Bernstein-Sato polynomials and multiplier ideals over Q",
@@ -177,9 +180,8 @@ def _emit(args, result: dict, lines: list[str], stats: GBStats) -> None:
 
 
 def main(argv=None) -> int:
-    ap = _build_argparser()
     try:
-        args = ap.parse_args(argv)
+        args = _argparser().parse_args(argv)
     except SystemExit as e:
         return 0 if e.code == 0 else USAGE_ERROR
     try:

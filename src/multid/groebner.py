@@ -33,8 +33,9 @@ orders and normalizes term lists.  A run whose monomials would outgrow the
 fields raises PackingOverflow before any field carries and starts again
 with wider fields, so it never returns a wrong basis.  All reduction
 arithmetic is fraction free, and the reducer has one mode: it returns the
-remainder as a primitive polynomial, known only up to a rational factor,
-which is all a basis or a membership test needs.  Every reduction, S-pair
+remainder as a primitive polynomial, which is all a basis or a membership
+test needs, with the rational factor that makes it the exact normal form,
+which `minimal_polynomial` needs.  Every reduction, S-pair
 and interreduction goes through one `_Basis` per packing: the elements
 with a divisor index on their leads and, kept for the run, their products
 with the differential parts of multipliers.
@@ -42,13 +43,15 @@ with the differential parts of multipliers.
 The ideal layer has one canonical basis, the reduced monic grevlex basis
 of `LeftIdeal.groebner`, and one membership test, `member`, which reduces
 against it.  Other orders are used only where an elimination asks for
-them (`eliminate` and the operations built on it).
+them (`eliminate` and the operations built on it) or a caller of
+`minimal_polynomial` names one.
 
 One Buchberger loop computes every basis, and the top row of the term
 order picks its pair selection.  A top row that weighs a slot of the Weyl
 part (an x, t, Dx or Dt) eliminates Weyl slots, as the restrictions to
-C[x,s] behind J_f(m) and I_2 do: those runs use normal selection, since
-sugar needed more S-pairs and reductions on them.  Every other top row
+C[x,s] behind J_f(m) and I_2 do, or orders by them, as algorithm 2's basis
+of its initial ideal does: those runs use normal selection, since sugar
+needed more S-pairs and reductions on the restrictions.  Every other top row
 weighs central slots or none: plain grevlex, and the eliminations of u1
 and u2 (I_{f,1}, whose lower row weighs Weyl slots, and `initial_ideal`),
 of u (`intersect`), of y (`saturate`) and of x or s in C[x,s].  Those runs
@@ -118,22 +121,6 @@ class TermOrder:
 # ---------------------------------------------------------------------------
 # integer term lists and their packed form
 # ---------------------------------------------------------------------------
-
-
-def _content_normalize(terms: dict, lead) -> dict:
-    """Divide through by the integer content; make the leading coeff positive."""
-    if not terms:
-        return {}
-    g = 0
-    for c in terms.values():
-        g = gcd(g, c)
-        if g == 1:
-            break
-    if terms[lead] < 0:
-        g = -g
-    if g == 1:
-        return terms
-    return {e: c // g for e, c in terms.items()}
 
 
 def to_ipoly(p: WeylElement) -> list:
@@ -366,15 +353,20 @@ class _Basis:
         self.addmul(p, heap, j, lo - o2, lcm - e2, -(c1 // d))
         return p, heap
 
-    def reduce(self, p: dict, heap: list, stats: GBStats, skip: int = -1) -> list:
+    def reduce(
+        self, p: dict, heap: list, stats: GBStats, skip: int = -1
+    ) -> tuple[list, Fraction]:
         """Full normal form of the working polynomial p, with heap, against
-        the elements other than skip, as a primitive packed polynomial:
-        empty exactly when p reduces to zero.
+        the elements other than skip: (r, q), r a primitive packed
+        polynomial, empty exactly when p reduces to zero, and q the rational
+        with q r the normal form of p as given.
 
         Fraction free: p and the remainder r are integer dicts keyed by
         order int, at one scale; a step that multiplies p by u multiplies r
-        too, and the periodic content removal divides both, so the
-        remainder is known only up to a rational factor.
+        too, and the periodic content removal divides both.  q tracks the
+        scale, which only those steps and the final content change, so a
+        caller that needs the exact normal form, not just r, pays nothing
+        extra.
         """
         pk = self.pk
         low, shift = pk.low, pk.width + 1
@@ -384,6 +376,7 @@ class _Basis:
         # descending order
         r: dict = {}
         steps = 0
+        num = den = 1  # r is num/den times the normal form of p as given
         while heap:
             o = -heapq.heappop(heap)
             c = p.pop(o, 0)
@@ -404,6 +397,7 @@ class _Basis:
             d = gcd(c, gc)
             u, mult = gc // d, c // d
             if u != 1:
+                num *= u
                 for k in p:
                     p[k] *= u
                 for k in r:
@@ -416,31 +410,27 @@ class _Basis:
                     if g0 == 1:
                         break
                 if g0 > 1:
+                    den *= g0
                     for k in p:
                         p[k] //= g0
                     for k in r:
                         r[k] //= g0
         if not r:
-            return []
-        r = _content_normalize(r, next(iter(r)))
+            return [], Fraction(den, num)
+        # divide through by the content, making the leading coeff positive
+        g0 = 0
+        for v in r.values():
+            g0 = gcd(g0, v)
+            if g0 == 1:
+                break
+        if r[next(iter(r))] < 0:
+            g0 = -g0
+        if g0 != 1:
+            den *= g0
+            r = {o: v // g0 for o, v in r.items()}
         for v in r.values():
             stats.note_coeff(v)
-        return _flat(r.items())
-
-
-def _product_criterion(pk: Packing, lf: int, sf: int, lg: int, sg: int) -> bool:
-    """True when the S-pair of f and g reduces to zero by the product criterion.
-
-    lf, lg are the supports (`Packing.support`) of the leads of f and g;
-    sf, sg those of the whole elements.  The commutative argument, S(f, g)
-    = tail(f) g - tail(g) f, needs coprime leads and fg = gf; the latter
-    holds when no differential of one element meets its variable in the
-    other.  Coprime leads alone do not suffice: Dx and t^2 + x have coprime
-    leads, but their S-pair is -(x*Dx + 1), whose normal form is 1.
-    """
-    shift = pk.nr * (pk.width + 1)
-    var = pk.var_guards
-    return not (lf & lg or (sf >> shift) & sg & var or (sg >> shift) & sf & var)
+        return _flat(r.items()), Fraction(den, num)
 
 
 def buchberger_ipolys(
@@ -472,10 +462,10 @@ def _buchberger(sig: Signature, gens: list, order: TermOrder, sugar: bool) -> tu
 
     Pairs are pruned once, when an element is added, by the update of
     Gebauer and Moeller (JSC 6, 1988): criterion B on the open pairs, then
-    criteria M and F on the new ones, with `_product_criterion` in the role
-    of the coprime test.  Only surviving pairs reach the heap.  An element
-    whose lead a newer lead divides forms no further pairs but stays a
-    reducer.
+    criteria M and F on the new ones, with a product criterion for
+    commuting elements in the role of the coprime test.  Only surviving
+    pairs reach the heap, and only they get an order int.  An element whose
+    lead a newer lead divides forms no further pairs but stays a reducer.
 
     Normal selection pops the pair with the smallest lcm.  Sugar selection
     (Giovini, Mora, Niesi, Robbiano, Traverso, "One sugar cube, please",
@@ -507,7 +497,9 @@ def _buchberger(sig: Signature, gens: list, order: TermOrder, sugar: bool) -> tu
 
 
 def _buchberger_packed(pk: Packing, gens: list, sugar: bool, stats: GBStats) -> list:
-    guards = pk.guards
+    guards, ones, vmask, width = pk.guards, pk.ones, pk.vmask, pk.width
+    dshift, var_guards = pk.dshift, pk.var_guards
+    diff_to_var = pk.nr * (width + 1)  # a differential's slot to its variable's
     basis = _Basis(pk)
     leads, supports = basis.leads, basis.supports
     lead_supports: list = []
@@ -534,21 +526,31 @@ def _buchberger_packed(pk: Packing, gens: list, sugar: bool, stats: GBStats) -> 
             heapq.heapify(heap)
         mh = pk.support(lh)
         sh = supports[h]
-        new = [
-            (
-                pk.lcm(leads[i], lh),
-                i,
-                _product_criterion(pk, lead_supports[i], supports[i], mh, sh),
+        # the product criterion: S(i, h) = tail(i) h - tail(h) i reduces to
+        # zero when the leads are coprime and ih = hi, which holds when no
+        # differential of one element meets its variable in the other.
+        # Coprime leads alone do not suffice: Dx and t^2 + x have coprime
+        # leads, but their S-pair is -(x*Dx + 1), whose normal form is 1.
+        h_vars, h_diffs = sh & var_guards, (sh >> diff_to_var) & var_guards
+        new = []  # (lcm exponent int, i, product criterion holds)
+        for i in active:
+            li, si = leads[i], supports[i]
+            ge = ((lh | guards) - li) & guards  # pk.lcm(li, lh), inline
+            m = ge - (ge >> width)
+            prod = not (
+                lead_supports[i] & mh or (si >> diff_to_var) & h_vars or si & h_diffs
             )
-            for i in active
-        ]
-        # criterion M: drop an lcm that another new lcm properly divides;
-        # a proper divisor comes first in the term order, so only a
-        # minimal lcm found so far can
-        lcm_orders = {lcm: pk.order(lcm) for lcm, _, _ in new}
+            new.append(((lh & m) | (li & ~m), i, prod))
+        # criterion M: drop an lcm that another new lcm properly divides; a
+        # proper divisor has a lower total degree, so only a minimal lcm
+        # found so far can
+        lcm_degrees = {lcm: (lcm * ones >> dshift) & vmask for lcm, _, _ in new}
         minimal: set = set()
-        for lcm in sorted(lcm_orders, key=lcm_orders.get):
-            if not any(not (lcm - m) & guards for m in minimal):
+        for lcm in sorted(lcm_degrees, key=lcm_degrees.get):
+            for m in minimal:
+                if not (lcm - m) & guards:
+                    break
+            else:
                 minimal.add(lcm)
         # criterion F: one pair per lcm, and none for an lcm where one pair
         # meets the product criterion
@@ -560,9 +562,9 @@ def _buchberger_packed(pk: Packing, gens: list, sugar: bool, stats: GBStats) -> 
                 stats.pruned_product += 1
             elif lcm in minimal and lcm not in by_product:
                 minimal.discard(lcm)
-                lo = lcm_orders[lcm]
+                lo = pk.order(lcm)
                 if sugar:
-                    d = pk.degree(lo)
+                    d = lcm_degrees[lcm]
                     li = pk.degree(basis.elems[i][0])
                     prio = (max(sugars[i] + d - li, sug + d - dh), lo)
                 else:
@@ -575,7 +577,7 @@ def _buchberger_packed(pk: Packing, gens: list, sugar: bool, stats: GBStats) -> 
 
     for ip in sorted((g for g in gens if g), key=lambda g: g[0]):
         check_deadline()
-        nf = basis.reduce(*_working(ip), stats)
+        nf, _ = basis.reduce(*_working(ip), stats)
         if nf:
             add_element(nf, _degree(pk, ip))
 
@@ -584,7 +586,7 @@ def _buchberger_packed(pk: Packing, gens: list, sugar: bool, stats: GBStats) -> 
         stats.spairs += 1
         check_deadline()
         before = stats.reductions
-        nf = basis.reduce(*basis.spair(i, j, lo, lcm), stats)
+        nf, _ = basis.reduce(*basis.spair(i, j, lo, lcm), stats)
         if nf:
             add_element(nf, prio[0] if sugar else 0)
         else:
@@ -605,7 +607,7 @@ def _interreduce(pk: Packing, G: list, stats: GBStats) -> list:
     # tail-reduce each against the others; no other lead divides its lead,
     # so it keeps that lead and its place in the ascending order
     return [
-        minimal.reduce(*_working(g), stats, skip=i)
+        minimal.reduce(*_working(g), stats, skip=i)[0]
         for i, g in enumerate(minimal.elems)
     ]
 
@@ -623,7 +625,7 @@ def spairs_reduce_to_zero(sig: Signature, G: list, order: TermOrder) -> bool:
         for i in range(len(G)):
             for j in range(i + 1, len(G)):
                 lcm = pk.lcm(basis.leads[i], basis.leads[j])
-                if basis.reduce(*basis.spair(i, j, pk.order(lcm), lcm), stats):
+                if basis.reduce(*basis.spair(i, j, pk.order(lcm), lcm), stats)[0]:
                     return False
         return True
 
@@ -848,9 +850,82 @@ def member(h: WeylElement, I: LeftIdeal) -> bool:
 
     def run(pk: Packing, polys: list) -> bool:
         ip, *G = polys
-        return not _Basis(pk, G).reduce(*_working(ip), GBStats())
+        return not _Basis(pk, G).reduce(*_working(ip), GBStats())[0]
 
     return _packed(I.sig, order, [to_ipoly(h)] + I.groebner_ipolys(order), run)
+
+
+def minimal_polynomial(
+    I: LeftIdeal, order: TermOrder, a: WeylElement, g: WeylElement
+) -> list[Fraction]:
+    """The monic minimal polynomial of left multiplication by a on the class
+    of g in D/I: coefficients c_0, ..., c_k = 1, lowest first, of the least
+    k with sum_j c_j a^j g in I.
+
+    With NF the normal form against I's reduced basis under order, v_0 =
+    NF(g) and v_j = NF(a v_{j-1}); since I is a left ideal, a(h - NF(h))
+    lies in I, so v_j = NF(a^j g), and sum_j c_j a^j g lies in I exactly
+    when sum_j c_j v_j = 0.  The first Q-linear dependency among the v_j is
+    the answer: an element of I gives [1].  Each v_j is an exact normal
+    form, the primitive remainder of `_Basis.reduce` times its factor, and
+    a v_{j-1} comes from the product kernel.  The loop ends only when such
+    a polynomial exists; it checks the request's time budget at every j.
+    """
+    if a.sig != I.sig or g.sig != I.sig:
+        raise SignatureMismatch("minimal_polynomial needs a common signature")
+    ia, ig = to_ipoly(a), to_ipoly(g)
+    # to_ipoly scales a by alpha; NF(a v) is NF((alpha a) v) / alpha
+    alpha = Fraction(ia[0][1]) / a.terms[ia[0][0]]
+
+    def run(pk: Packing, polys: list) -> list:
+        pa, pg, *G = polys
+        basis = _Basis(pk, G)
+        stats = GBStats()
+        a_terms = [(o, pk.exp_of(o), c) for o, c in _pairs(pa)]
+        r, q = basis.reduce(*_working(pg), stats)
+        scales = [q]  # v_j = scales[j] * r_j, r_j primitive
+        # echelon rows: pivot (its lead) -> (int dict, {j: int}), the row
+        # being the combination of the r_j that the second dict gives
+        rows: dict = {}
+        for j in itertools.count():
+            check_deadline()
+            vec, comb = dict(_pairs(r)), {j: 1}
+            for piv in sorted(rows, reverse=True):
+                c = vec.get(piv)
+                if c is None:
+                    continue
+                row, rcomb = rows[piv]
+                d = gcd(c, row[piv])
+                u, mult = row[piv] // d, c // d
+                if u != 1:
+                    vec = {o: u * v for o, v in vec.items()}
+                    comb = {i: u * v for i, v in comb.items()}
+                for o, v in row.items():
+                    nv = vec.get(o, 0) - mult * v
+                    if nv:
+                        vec[o] = nv
+                    else:
+                        del vec[o]
+                for i, v in rcomb.items():
+                    comb[i] = comb.get(i, 0) - mult * v
+            if not vec:
+                # sum_i comb[i] r_i = 0, so sum_i comb[i] / scales[i] v_i = 0
+                lead = Fraction(comb[j]) / scales[j]
+                return [
+                    Fraction(comb.get(i, 0)) / scales[i] / lead for i in range(j + 1)
+                ]
+            rows[max(vec)] = (vec, comb)
+            deg = _degree(pk, r)
+            prod: list = []
+            for ao, ae, ac in a_terms:
+                prod += _flat(
+                    (o, ac * c)
+                    for o, c in mono_mul(pk, ao, ae, _pairs(r), deg).items()
+                )
+            r, q = basis.reduce(*_working(prod), stats)
+            scales.append(scales[-1] * q / alpha)
+
+    return _packed(I.sig, order, [ia, ig] + I.groebner_ipolys(order), run)
 
 
 def ideal_equal(I: LeftIdeal, J: LeftIdeal) -> bool:

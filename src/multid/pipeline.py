@@ -5,7 +5,12 @@ Two routes to b_{a,g}(s):
 * `bfunction`: form J_f(m) = D_Y[s](I_{f,1} + a^m + <s - sigma>) cap C[x,s],
   then read off the generator of (J_f(m) : g) cap C[s].
 * `bfunction_alg2` (m = 1 only): intersect Ann(prod f_i^{s_i}) with D_Y g,
-  take the initial ideal under the V-filtration weight, then eliminate.
+  take the initial ideal in(I0) under the V-filtration weight (-w, w),
+  then find b as the monic minimal polynomial of sigma acting on g modulo
+  in(I0).  in(I0) is (-w, w)-homogeneous, so in(I0) sigma lies in in(I0),
+  and then b(s) g lies in D_Y[s](in(I0) + <s - sigma>) exactly when
+  b(sigma) g lies in in(I0): no elimination in D_Y[s] is needed.  The loop
+  over the normal forms of sigma^k g ends because b_{a,g} is nonzero.
 
 Both return the monic generator fully factored over Q.
 
@@ -24,11 +29,12 @@ from fractions import Fraction
 from .errors import UnsupportedM, ZeroDivisor
 from .groebner import (
     LeftIdeal,
+    _elimination_order,
     colon,
     eliminate,
-    exact_divide,
     initial_ideal,
     intersect,
+    minimal_polynomial,
     weight_homogenization,
 )
 from .rationals import FactoredBPoly, UPoly, rational_roots
@@ -331,9 +337,20 @@ def bfunction_level(input: IdealInput) -> FactoredBPoly:
 def bfunction_alg2(input: IdealInput) -> FactoredBPoly:
     """b_{a,g}(s) by the initial-ideal route (m = 1 only).
 
-    Ann cap D_Y g, then its initial ideal under the V-filtration weight,
-    then adjoin s - sigma, eliminate to C[x,s], divide out g, and
-    eliminate to C[s].
+    I0 = Ann prod f_i^{s_i} cap D_Y g, then in(I0), its initial ideal under
+    the V-filtration weight (-w, w), then b as the monic minimal polynomial
+    of sigma acting on g modulo in(I0) (`minimal_polynomial`; Noro, ICMS
+    2002; Levandovskyy and Martin Morales, ISSAC 2008).
+
+    b(s) is meant as the monic generator of the b in C[s] with b(s) g in
+    D_Y[s](in(I0) + <s - sigma>), which eliminating down to C[x,s], dividing
+    out g and eliminating down to C[s] would give.  in(I0) is
+    (-w, w)-homogeneous, so in(I0) sigma lies in in(I0), and b(s) g lies in
+    that ideal exactly when b(sigma) g lies in in(I0).
+    The normal forms are taken against the basis of in(I0) under the order
+    that weighs t, Dx and Dt, the order that restriction would use.  The
+    loop ends because b_{a,g} is nonzero (Budur, Mustata and Saito, 2006),
+    and a unit in(I0) gives b = 1.
     """
     if input.m != 1:
         raise UnsupportedM("the initial-ideal route is defined for m = 1")
@@ -345,10 +362,8 @@ def bfunction_alg2(input: IdealInput) -> FactoredBPoly:
     else:
         I0 = intersect(ann, LeftIdeal(sig, [g]))
     I1 = initial_ideal(I0, WeightVector.v_filtration(sig))
-    I2 = _adjoin_s_and_restrict(input, I1.generators)
-    if g.is_constant():
-        return _b_from_s_ideal(I2)
-    gs = input.g.over(I2.sig)
-    return _b_from_s_ideal(
-        LeftIdeal(I2.sig, [exact_divide(h, gs) for h in I2.generators])
-    )
+    order = _elimination_order(sig, input.poly_sig())
+    b = UPoly(minimal_polynomial(I1, order, build_sigma(sig), g))
+    if b.degree == 0:
+        return FactoredBPoly(())
+    return rational_roots(b)

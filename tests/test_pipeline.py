@@ -265,6 +265,16 @@ def test_bfunction_alg2_agrees():
     assert bfunction_alg2(cusp) == bfunction(cusp)
     gx = parse_polynomial("x", ("x", "y"))
     assert str(bfunction_alg2(cusp.with_g(gx))) == "(s+1)(s+11/6)(s+13/6)"
+    # inputs the cross-check corpus lacks: a repeated root with g, a
+    # non-principal ideal with g, and one whose in(I0) basis takes 115
+    # S-pairs
+    for polys, g in (
+        (("x*y*(x+y)*(x+2*y)",), "x"),
+        (("x^3", "y^4"), "y"),
+        (("x^2", "x*y", "y^4"), None),
+    ):
+        a = make_input(("x", "y"), polys, g)
+        assert bfunction_alg2(a) == bfunction(a)
 
 
 def test_bfunction_alg2_rejects_higher_level():

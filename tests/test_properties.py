@@ -1,5 +1,6 @@
 """Randomized algebraic invariants, independent of any fixed numbers."""
 
+import operator
 import os
 from fractions import Fraction
 from math import gcd
@@ -11,7 +12,11 @@ from multid.errors import ComputationTimeout
 from multid.groebner import (
     LeftIdeal,
     TermOrder,
+    _Basis,
     _buchberger,
+    _packed,
+    _unpack,
+    _working,
     buchberger_ipolys,
     collect_stats,
     exact_divide,
@@ -20,7 +25,7 @@ from multid.groebner import (
     to_ipoly,
 )
 from multid.rationals import FactoredBPoly, rational_roots
-from multid.request import TIME_LIMIT_ENV
+from multid.request import TIME_LIMIT_ENV, GBStats
 from multid.weyl import Signature, WeightVector, WeylElement
 
 
@@ -252,6 +257,43 @@ def test_normal_selection_gives_the_same_basis(gens_and_permutation):
                 assert normal == basis
         except ComputationTimeout:
             reject()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(_weyl_terms, min_size=1, max_size=3),
+    _weyl_terms,
+    st.sampled_from((1, -4, 6)),
+    # grevlex, and the order that weighs t, Dx and Dt (algorithm 2's)
+    st.sampled_from(((0, 0, 0, 0), (0, 1, 1, 1))),
+)
+@example([_DX, _T2_X], {(1, 1, 1, 1): 2}, 6, (0, 0, 0, 0))
+@example([_A, _B], {(2, 0, 1, 1): 1, (1, 0, 0, 1): 3}, -4, (0, 1, 1, 1))
+def test_reduce_reports_the_exact_normal_form(gens, h_terms, scale, row):
+    # the primitive remainder times the reported factor is the normal form
+    # itself: h - NF(h) lies in the ideal, and no lead divides a term of NF(h)
+    order = TermOrder(SIG, row)
+    I = LeftIdeal(SIG, [WeylElement(SIG, g) for g in gens])
+    h = WeylElement(SIG, {e: scale * c for e, c in h_terms.items()})
+
+    def run(pk, polys):
+        ih, *G = polys
+        r, q = _Basis(pk, G).reduce(*_working(ih), GBStats())
+        leads = [pk.unpack(pk.exp_of(g[0])) for g in G]
+        return {e: q * c for e, c in _unpack(pk, r)}, leads
+
+    # the same budget as the tests above
+    with mock.patch.dict(os.environ, {TIME_LIMIT_ENV: "500"}), collect_stats():
+        try:
+            basis = I.groebner_ipolys(order)
+            # h has integer coefficients, so to_ipoly leaves it unscaled
+            terms, leads = _packed(SIG, order, [to_ipoly(h)] + basis, run)
+            nf = WeylElement(SIG, terms)
+            assert member(h - nf, I)
+        except ComputationTimeout:
+            reject()
+    for e in nf.terms:
+        assert not any(all(map(operator.le, lead, e)) for lead in leads)
 
 
 def _sorted_primitive(terms: dict, order) -> list:

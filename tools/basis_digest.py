@@ -16,6 +16,12 @@ digest of all the bases and one of all the counters.
 
 A change that should keep every computation the same, such as a faster
 data structure in the reducer, must print the same lines before and after.
+`tools/basis_digest.expected` holds the output of this tree, and CI fails
+on any difference from it; a change that alters runs regenerates it
+
+    python3 tools/basis_digest.py > tools/basis_digest.expected
+
+so its diff shows which runs changed.
 Exits 1 if a query exits non-zero or prints an answer other than its known
 one.
 """
