@@ -17,8 +17,9 @@ starts from a Groebner basis of I_{f,1}; the reduced bases after it are
 unique, so they stay the same.
 
 Callers hand in integer term lists: (exponent tuple, int) pairs in any
-order and at any scale, as `to_ipoly` makes them.  Bases come back
-primitive, with positive leading coefficients, and sorted descending.
+order and at any scale, as `to_ipoly` makes them.  A basis comes back as
+the unique reduced basis: elements ascending by lead under the order, each
+one's terms descending, primitive, with a positive lead.
 The Buchberger loop, the reducer, the S-pairs and the interreduction run
 on packed monomials instead (`weyl.Packing`, after Monagan and Pearce,
 "Sparse polynomial division using a heap", JSC 46, 2011): a polynomial is
@@ -42,9 +43,9 @@ with the differential parts of multipliers.
 
 The ideal layer has one canonical basis, the reduced monic grevlex basis
 of `LeftIdeal.groebner`, and one membership test, `member`, which reduces
-against it.  Other orders are used only where an elimination asks for
-them (`eliminate` and the operations built on it) or a caller of
-`minimal_polynomial` names one.
+against it.  A `LeftIdeal` holds at most that basis, computed on first use
+or handed over by `eliminate`; a basis under another order comes from
+`basis_ipolys`, afresh for each caller.
 
 One Buchberger loop computes every basis, and the top row of the term
 order picks its pair selection.  A top row that weighs a slot of the Weyl
@@ -439,10 +440,9 @@ def buchberger_ipolys(
     """Buchberger with the Gebauer-Moeller pair update.
 
     Input and output are integer term lists; the output is the unique
-    reduced basis (primitive integer form, positive leading coefficients,
-    sorted ascending by leading exponent).  Pairs are selected by sugar
-    unless the order's top row weighs a Weyl slot, as the module docstring
-    sets out.
+    reduced basis, in the format the module docstring states.  Pairs are
+    selected by sugar unless the order's top row weighs a Weyl slot, as the
+    module docstring sets out.
     The run's GBStats come back with it and are added to the enclosing
     `collect_stats` block, also when the time cap cuts the run off; a run
     outside any block is its own block, with its own time budget.
@@ -638,7 +638,8 @@ def spairs_reduce_to_zero(sig: Signature, G: list, order: TermOrder) -> bool:
 
 
 class LeftIdeal:
-    """A left ideal of the Weyl algebra with cached reduced Groebner bases."""
+    """A left ideal of the Weyl algebra: its generators and, once computed
+    or handed over by `eliminate`, its reduced grevlex basis."""
 
     def __init__(self, sig: Signature, generators):
         self.sig = sig
@@ -649,29 +650,30 @@ class LeftIdeal:
             if not g.is_zero():
                 gens.append(g)
         self.generators = tuple(gens)
-        self._cache: dict = {}
+        self._basis: list | None = None
 
     def is_zero_ideal(self) -> bool:
         return not self.generators
 
-    def groebner_ipolys(self, order: TermOrder) -> list:
-        # keyed on the weight rows alone: they also fix the pair selection
-        got = self._cache.get(order.rows)
-        if got is not None:
-            return got
-        gens = [to_ipoly(g) for g in self.generators]
-        basis, _ = buchberger_ipolys(self.sig, gens, order)
-        self._cache[order.rows] = basis
-        return basis
+    def groebner_ipolys(self) -> list:
+        """The reduced grevlex basis as integer term lists."""
+        if self._basis is None:
+            self._basis = basis_ipolys(self, TermOrder.grevlex(self.sig))
+        return self._basis
 
     def groebner(self) -> list[WeylElement]:
         """The reduced monic grevlex Groebner basis, unique for the ideal."""
-        order = TermOrder.grevlex(self.sig)
-        return [from_ipoly(self.sig, g) for g in self.groebner_ipolys(order)]
+        return [from_ipoly(self.sig, g) for g in self.groebner_ipolys()]
 
     def __repr__(self) -> str:
         gens = ", ".join(str(g) for g in self.generators)
         return f"LeftIdeal<{gens}>"
+
+
+def basis_ipolys(I: LeftIdeal, order: TermOrder) -> list:
+    """I's reduced basis under order, from a fresh run on its generators."""
+    gens = [to_ipoly(g) for g in I.generators]
+    return buchberger_ipolys(I.sig, gens, order)[0]
 
 
 def _fresh_name(sig: Signature, base: str) -> str:
@@ -700,9 +702,15 @@ def eliminate(
 ) -> LeftIdeal:
     """I cap target: the restriction of I to the subalgebra on target's names.
 
-    Realized by a Groebner basis under the weight vector that is 1 on every
-    slot absent from target and 0 on the others; its elements free of the
-    eliminated slots are the returned generators, re-expressed in target.
+    Realized by a reduced Groebner basis under the weight vector that is 1
+    on every slot absent from target and 0 on the others.  Its elements
+    free of the eliminated slots, re-indexed to target, are the returned
+    generators: the reduced basis of I cap target under the restricted
+    order (Cox, Little, O'Shea, 3.1).  With then None, and target's names
+    in I.sig in the same relative order, that order is target's grevlex,
+    and the result takes these term lists as its basis.  In another slot
+    order it need not be: from <x - y, y^2 + y z + 2 z^2>, C[z, y] gets
+    y^2 + y z + 2 z^2, led by y^2, where its grevlex leads by z^2.
 
     then, a signature whose names lie in target, adds a second weight row,
     1 on the slots of target absent from then.  The returned generators
@@ -711,12 +719,17 @@ def eliminate(
     Groebner basis.
     """
     sig = I.sig
-    keep = {sig.slot_of(n) for n in target.slot_names}
-    order = _elimination_order(sig, target, then)
-    basis = [from_ipoly(sig, g) for g in I.groebner_ipolys(order)]
-    return LeftIdeal(
-        target, [g.over(target) for g in basis if g.support_slots() <= keep]
-    )
+    slots = [sig.slot_of(n) for n in target.slot_names]
+    gone = [i for i in range(sig.nslots) if i not in slots]
+    kept = [
+        [(tuple([e[i] for i in slots]), c) for e, c in g]
+        for g in basis_ipolys(I, _elimination_order(sig, target, then))
+        if not any(e[i] for e, _ in g for i in gone)
+    ]
+    K = LeftIdeal(target, [from_ipoly(target, g) for g in kept])
+    if then is None and slots == sorted(slots):
+        K._basis = kept
+    return K
 
 
 def intersect(I: LeftIdeal, J: LeftIdeal) -> LeftIdeal:
@@ -837,6 +850,24 @@ def saturate(I: LeftIdeal, p: WeylElement) -> LeftIdeal:
     return eliminate(LeftIdeal(big, gens), sig)
 
 
+def _reducing(sig: Signature, order: TermOrder, polys: list, run):
+    """_packed for a run(pk, packed polys, stats) that only reduces: the
+    steps of the last packing tried count in the enclosing `collect_stats`
+    block, not in any run's GBStats, also when the time cap cuts it off."""
+    attempts: list = []
+
+    def attempt(pk: Packing, packed: list):
+        attempts.append(GBStats())
+        return run(pk, packed, attempts[-1])
+
+    try:
+        return _packed(sig, order, polys, attempt)
+    finally:
+        request = _REQUEST.get()
+        if request is not None and attempts:
+            request[0].merge(attempts[-1])
+
+
 def member(h: WeylElement, I: LeftIdeal) -> bool:
     """True iff h reduces to zero against the grevlex Groebner basis of I
     (membership does not depend on the order)."""
@@ -848,11 +879,11 @@ def member(h: WeylElement, I: LeftIdeal) -> bool:
         return False
     order = TermOrder.grevlex(I.sig)
 
-    def run(pk: Packing, polys: list) -> bool:
+    def run(pk: Packing, polys: list, stats: GBStats) -> bool:
         ip, *G = polys
-        return not _Basis(pk, G).reduce(*_working(ip), GBStats())[0]
+        return not _Basis(pk, G).reduce(*_working(ip), stats)[0]
 
-    return _packed(I.sig, order, [to_ipoly(h)] + I.groebner_ipolys(order), run)
+    return _reducing(I.sig, order, [to_ipoly(h)] + I.groebner_ipolys(), run)
 
 
 def minimal_polynomial(
@@ -877,10 +908,9 @@ def minimal_polynomial(
     # to_ipoly scales a by alpha; NF(a v) is NF((alpha a) v) / alpha
     alpha = Fraction(ia[0][1]) / a.terms[ia[0][0]]
 
-    def run(pk: Packing, polys: list) -> list:
+    def run(pk: Packing, polys: list, stats: GBStats) -> list:
         pa, pg, *G = polys
         basis = _Basis(pk, G)
-        stats = GBStats()
         a_terms = [(o, pk.exp_of(o), c) for o, c in _pairs(pa)]
         r, q = basis.reduce(*_working(pg), stats)
         scales = [q]  # v_j = scales[j] * r_j, r_j primitive
@@ -925,12 +955,11 @@ def minimal_polynomial(
             r, q = basis.reduce(*_working(prod), stats)
             scales.append(scales[-1] * q / alpha)
 
-    return _packed(I.sig, order, [ia, ig] + I.groebner_ipolys(order), run)
+    return _reducing(I.sig, order, [ia, ig] + basis_ipolys(I, order), run)
 
 
 def ideal_equal(I: LeftIdeal, J: LeftIdeal) -> bool:
     """Equality via reduced Groebner bases under the canonical grevlex order."""
     if I.sig != J.sig:
         raise SignatureMismatch("ideal_equal needs a common signature")
-    order = TermOrder.grevlex(I.sig)
-    return I.groebner_ipolys(order) == J.groebner_ipolys(order)
+    return I.groebner_ipolys() == J.groebner_ipolys()

@@ -103,6 +103,9 @@ def multiplier_ideal_ideal(input: IdealInput, c: Fraction) -> LeftIdeal:
         lct_val = lct(input)
         if c >= lct_val:
             J = _multiplier_ideal_direct(input.with_m(_level_for(c, lct_val)), c)
+    if k == 0:
+        # J itself, with the reduced basis its elimination handed over
+        return J
     return LeftIdeal(
         psig, [p * g for p in ideal_power_products(input, k) for g in J.generators]
     )

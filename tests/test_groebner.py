@@ -9,6 +9,7 @@ from multid.groebner import (
     LeftIdeal,
     TermOrder,
     _buchberger,
+    basis_ipolys,
     buchberger_ipolys,
     collect_stats,
     colon,
@@ -18,6 +19,7 @@ from multid.groebner import (
     initial_ideal,
     intersect,
     member,
+    minimal_polynomial,
     saturate,
     spairs_reduce_to_zero,
     to_ipoly,
@@ -25,6 +27,7 @@ from multid.groebner import (
 )
 from multid.parsing import parse_polynomial
 from multid.pipeline import (
+    IdealInput,
     ann_fs_generators,
     build_Jf_m,
     compute_If1,
@@ -98,7 +101,7 @@ def test_gb_of_monomials_is_trivial():
     I = ideal_of(("x", "y"), "x", "y")
     order = TermOrder.grevlex(I.sig)
     G = I.groebner()
-    assert spairs_reduce_to_zero(I.sig, [g for g in I.groebner_ipolys(order)], order)
+    assert spairs_reduce_to_zero(I.sig, basis_ipolys(I, order), order)
     assert sorted(str(g) for g in G) == ["x", "y"]
 
 
@@ -122,7 +125,7 @@ def test_every_generator_reduces_to_zero():
     G = I.groebner()
     for g in I.generators:
         assert member(g, LeftIdeal(I.sig, G))
-    assert spairs_reduce_to_zero(I.sig, I.groebner_ipolys(order), order)
+    assert spairs_reduce_to_zero(I.sig, basis_ipolys(I, order), order)
 
 
 # -- reduced GB -------------------------------------------------------------
@@ -176,6 +179,51 @@ def test_intersect_principal_coprime():
 def test_intersect_signature_mismatch():
     with pytest.raises(SignatureMismatch):
         intersect(ideal_of(("x",), "x"), ideal_of(("x", "y"), "x"))
+
+
+def _fresh_grevlex(K):
+    """K's reduced grevlex basis from a run on its generators."""
+    gens = [to_ipoly(g) for g in K.generators]
+    return buchberger_ipolys(K.sig, gens, TermOrder.grevlex(K.sig))[0]
+
+
+@pytest.mark.parametrize("fixture", ["cusp", "x2y3", "four_lines", "two_branch"])
+@pytest.mark.parametrize("op", ["eliminate", "intersect", "saturate", "colon"])
+def test_an_elimination_hands_over_the_grevlex_basis(request, fixture, op):
+    # eliminate, and intersect and saturate through it, hand their result
+    # its reduced grevlex basis; colon's quotients by g need not be reduced,
+    # so its result computes its own
+    inp = request.getfixturevalue(fixture)
+    J = build_Jf_m(inp)
+    x = gen(J.sig, inp.variables[0])
+    s = gen(J.sig, "s")
+    if op == "eliminate":
+        # a fresh input, so that J_f(1)'s own elimination runs here
+        K = build_Jf_m(IdealInput(inp.variables, inp.f))
+    elif op == "intersect":
+        K = intersect(J, LeftIdeal(J.sig, [x]))
+    elif op == "saturate":
+        K = saturate(J, s + WeylElement.one(J.sig))
+    else:
+        K = colon(J, x)
+    if op != "colon":
+        assert K._basis is not None
+    assert K.groebner_ipolys() == _fresh_grevlex(K)
+
+
+def test_a_reordered_target_gets_its_own_grevlex_basis():
+    # the restriction of the elimination basis is reduced under grevlex in
+    # the source's slot order, where y^2 leads; C[z, y]'s grevlex leads by z^2
+    I = ideal_of(XYZ, "x-y", "y^2+y*z+2*z^2")
+    ZY = ("z", "y")
+    K = eliminate(I, polynomial_ring(ZY))
+    assert K.groebner() == [pol("z^2+1/2*z*y+1/2*y^2", ZY)]
+    assert K.groebner_ipolys() == _fresh_grevlex(K)
+    # in the source's order the same restriction is handed over
+    YZ = ("y", "z")
+    L = eliminate(I, polynomial_ring(YZ))
+    assert L._basis is not None
+    assert L.groebner() == [pol("y^2+y*z+2*z^2", YZ)]
 
 
 def test_slotwise_operations_reject_a_signature_mismatch():
@@ -254,7 +302,7 @@ def test_selection_follows_the_order():
     )
     order = TermOrder.grevlex(sig)
     with collect_stats() as grevlex:
-        I.groebner_ipolys(order)
+        basis_ipolys(I, order)
     by_sugar, normal = _both_selections(sig, [to_ipoly(g) for g in I.generators], order)
     assert _counts(by_sugar) != _counts(normal)
     assert _counts(grevlex) == _counts(by_sugar)
@@ -474,3 +522,26 @@ def test_stats_counters_exposed():
         "spairs", "zero_spairs", "pruned_chain", "pruned_product", "reductions",
         "max_coeff_bits", "millis", "zero_steps",
     }
+
+
+def test_member_steps_count_in_the_request_block():
+    # J's basis comes from its elimination, so member starts no run, and its
+    # reduction steps reach the block all the same
+    J = eliminate(ideal_of(XYZ, "x^2-y", "x^3-z"), polynomial_ring(("y", "z")))
+    with collect_stats() as stats:
+        assert member(pol("y^3-z^2", ("y", "z")), J)
+    assert stats.spairs == 0
+    assert stats.reductions > 0
+
+
+def test_minimal_polynomial_steps_count_in_the_request_block():
+    # x acting on C[x]/<x^2> has minimal polynomial t^2; the block counts
+    # the normal forms' steps on top of those of the basis run
+    I = ideal_of(("x",), "x^2")
+    order = TermOrder.grevlex(I.sig)
+    x, one = pol("x", ("x",)), WeylElement.one(I.sig)
+    with collect_stats() as run:
+        basis_ipolys(I, order)
+    with collect_stats() as stats:
+        assert minimal_polynomial(I, order, x, one) == [0, 0, 1]
+    assert stats.reductions > run.reductions

@@ -17,6 +17,7 @@ from multid.groebner import (
     _packed,
     _unpack,
     _working,
+    basis_ipolys,
     buchberger_ipolys,
     collect_stats,
     exact_divide,
@@ -231,11 +232,11 @@ def test_pair_criteria_keep_the_groebner_property(gens_and_permutation):
     with mock.patch.dict(os.environ, {TIME_LIMIT_ENV: "500"}), collect_stats():
         try:
             I = LeftIdeal(SIG, gens)
-            basis = I.groebner_ipolys(order)
+            basis = basis_ipolys(I, order)
             # the audit checks every pair of the basis, pruning none
             assert spairs_reduce_to_zero(SIG, basis, order)
             assert all(member(g, I) for g in gens)
-            assert LeftIdeal(SIG, permuted).groebner_ipolys(order) == basis
+            assert basis_ipolys(LeftIdeal(SIG, permuted), order) == basis
         except ComputationTimeout:
             reject()
 
@@ -250,7 +251,7 @@ def test_normal_selection_gives_the_same_basis(gens_and_permutation):
     # the same budget as the test above, whose grevlex runs select by sugar
     with mock.patch.dict(os.environ, {TIME_LIMIT_ENV: "500"}), collect_stats():
         try:
-            basis = LeftIdeal(SIG, gens).groebner_ipolys(order)
+            basis = basis_ipolys(LeftIdeal(SIG, gens), order)
             for gs in (gens, permuted):
                 ipolys = [to_ipoly(g) for g in gs]
                 normal, _ = _buchberger(SIG, ipolys, order, False)
@@ -285,7 +286,7 @@ def test_reduce_reports_the_exact_normal_form(gens, h_terms, scale, row):
     # the same budget as the tests above
     with mock.patch.dict(os.environ, {TIME_LIMIT_ENV: "500"}), collect_stats():
         try:
-            basis = I.groebner_ipolys(order)
+            basis = basis_ipolys(I, order)
             # h has integer coefficients, so to_ipoly leaves it unscaled
             terms, leads = _packed(SIG, order, [to_ipoly(h)] + basis, run)
             nf = WeylElement(SIG, terms)
