@@ -7,14 +7,16 @@ weights, needed for initial ideals under the V-filtration weight, are
 handled in `initial_ideal` via weight homogenization instead of a direct
 non-term-order computation.
 
-Most orders have one row.  I_{f,1} is computed under a block order with
-two (`eliminate` with a second target): the top row eliminates u1 and u2,
-the second weighs t, Dx and Dt, the slots the restriction to C[x,s] behind
-J_f(m) and I_2 eliminates next (Cox, Little, O'Shea, "Ideals, Varieties,
-and Algorithms", 3.1).  The u-free part of that reduced basis is the
-reduced basis of I_{f,1} under the order of the restriction, so that run
-starts from a Groebner basis of I_{f,1}; the reduced bases after it are
-unique, so they stay the same.
+Most orders have one row.  Two runs use a block order with two
+(`eliminate` with a second target) whose second row weighs t, Dx and Dt,
+the order of the run that follows (Cox, Little, O'Shea, "Ideals,
+Varieties, and Algorithms", 3.1).  For I_{f,1} (top row u1 and u2) the
+u-free part of the reduced basis is the reduced basis under the order of
+the restriction to C[x,s] behind J_f(m) and I_2, so that run starts from
+a Groebner basis.  For `initial_ideal` (top row u2), whose generators are
+set to u1 = 0 afterwards, no such basis is claimed: that algorithm 2's
+basis run of in(I0) gets shorter is measured, not proved.  Either way the
+reduced bases after these runs are unique, so they stay the same.
 
 Callers hand in integer term lists: (exponent tuple, int) pairs in any
 order and at any scale, as `to_ipoly` makes them.  A basis comes back as
@@ -54,12 +56,13 @@ C[x,s] behind J_f(m) and I_2 do, or orders by them, as algorithm 2's basis
 of its initial ideal does: those runs use normal selection, since sugar
 needed more S-pairs and reductions on the restrictions.  Every other top row
 weighs central slots or none: plain grevlex, and the eliminations of u1
-and u2 (I_{f,1}, whose lower row weighs Weyl slots, and `initial_ideal`),
-of u (`intersect`), of y (`saturate`) and of x or s in C[x,s].  Those runs
-select by sugar, which on the weight homogenizations behind I_{f,1} and
-`initial_ideal` needed a fifth to two thirds of the S-pairs of normal
-selection (CHANGES.md has the numbers, in its entry on sugar pair
-selection); on I_{f,1}'s block order normal selection is far worse still.
+and u2 (I_{f,1}) and of u2 (`initial_ideal`), whose lower rows may weigh
+Weyl slots, of u (`intersect`), of y (`saturate`) and of x or s in
+C[x,s].  Those runs select by sugar, which on the weight homogenizations
+behind I_{f,1} and `initial_ideal` needed a fifth to two thirds of the
+S-pairs of normal selection (CHANGES.md has the numbers, in its entry on
+sugar pair selection); on I_{f,1}'s block order normal selection is far
+worse still.
 The reduced basis is the same under either selection.
 """
 
@@ -693,6 +696,9 @@ def _elimination_order(
     rows = [[0 if i in keep else 1 for i in range(sig.nslots)]]
     if then is not None:
         last = {sig.slot_of(n) for n in then.slot_names}
+        if not last <= keep:
+            outside = sorted(set(then.slot_names) - set(target.slot_names))
+            raise ValueError(f"then names slots outside target: {outside}")
         rows.append([int(i in keep and i not in last) for i in range(sig.nslots)])
     return TermOrder(sig, *rows)
 
@@ -716,7 +722,8 @@ def eliminate(
     1 on the slots of target absent from then.  The returned generators
     are then the reduced basis of I cap target under that row and grevlex:
     the order of a later elimination down to then, which starts from a
-    Groebner basis.
+    Groebner basis.  A then naming a slot outside target raises
+    ValueError.
     """
     sig = I.sig
     slots = [sig.slot_of(n) for n in target.slot_names]
@@ -764,7 +771,9 @@ def weight_homogenization(I: LeftIdeal, vw: WeightVector) -> LeftIdeal:
     return LeftIdeal(big, gens)
 
 
-def initial_ideal(I: LeftIdeal, vw: WeightVector) -> LeftIdeal:
+def initial_ideal(
+    I: LeftIdeal, vw: WeightVector, then: Signature | None = None
+) -> LeftIdeal:
     """in_(v,w)(I), the ideal of all initial forms of elements of I.
 
     A direct Groebner run under (v,w) would need a non-term order when some
@@ -772,13 +781,21 @@ def initial_ideal(I: LeftIdeal, vw: WeightVector) -> LeftIdeal:
     saturate by u1 via the inverse variable u2, and set u1 to 0.  The
     resulting ideal of D[u1] is the full weight homogenization of I, and its
     image at u1 = 0 is exactly the initial ideal.
+
+    then, a signature within I.sig, goes on to `eliminate` with u1 added:
+    the run weighs u2, then the slots of I.sig absent from then, then
+    grevlex, and still selects by sugar.  The ideal is the same.  That a
+    later run under the elimination order down to then gets shorter is
+    measured, not proved: unlike for I_{f,1}, setting u1 to 0 need not
+    keep a Groebner basis, and the generators are not claimed to be one.
     """
     sig = I.sig
     if I.is_zero_ideal():
         return LeftIdeal(sig, [])
     H = weight_homogenization(I, vw)
     u1 = H.sig.central[-2]  # the fresh u1; u2 comes last
-    K = eliminate(H, sig.with_central(u1))
+    last = None if then is None else then.with_central(u1)
+    K = eliminate(H, sig.with_central(u1), last)
     return LeftIdeal(
         sig, [g.substitute_central(u1, 0).over(sig) for g in K.generators]
     )

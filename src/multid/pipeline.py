@@ -351,6 +351,12 @@ def bfunction_alg2(input: IdealInput) -> FactoredBPoly:
     that weighs t, Dx and Dt, the order that restriction would use.  The
     loop ends because b_{a,g} is nonzero (Budur, Mustata and Saito, 2006),
     and a unit in(I0) gives b = 1.
+
+    in(I0) is computed with that order as the second row of its u2
+    elimination (`initial_ideal` with then = C[x]), which shortens that run
+    and the basis run after it.  This is measured, not proved: after u1 = 0
+    the generators need not be a Groebner basis.  The basis, and so b, is
+    unique either way.
     """
     if input.m != 1:
         raise UnsupportedM("the initial-ideal route is defined for m = 1")
@@ -361,8 +367,9 @@ def bfunction_alg2(input: IdealInput) -> FactoredBPoly:
         I0 = ann
     else:
         I0 = intersect(ann, LeftIdeal(sig, [g]))
-    I1 = initial_ideal(I0, WeightVector.v_filtration(sig))
-    order = _elimination_order(sig, input.poly_sig())
+    poly = input.poly_sig()
+    I1 = initial_ideal(I0, WeightVector.v_filtration(sig), poly)
+    order = _elimination_order(sig, poly)
     b = UPoly(minimal_polynomial(I1, order, build_sigma(sig), g))
     if b.degree == 0:
         return FactoredBPoly(())

@@ -161,6 +161,13 @@ def test_eliminate_identity():
     assert ideal_equal(eliminate(I, I.sig), I)
 
 
+def test_eliminate_rejects_a_then_outside_target():
+    # a then slot outside target would be dropped from the second row
+    I = ideal_of(XYZ, "x^2-y", "x^3-z")
+    with pytest.raises(ValueError, match="outside target"):
+        eliminate(I, polynomial_ring(("y", "z")), polynomial_ring(("x",)))
+
+
 def test_intersect_coprime_monomials():
     I = intersect(ideal_of(("x", "y"), "x"), ideal_of(("x", "y"), "y"))
     assert ideal_equal(I, ideal_of(("x", "y"), "x*y"))
@@ -273,6 +280,52 @@ def test_initial_ideal_selects_by_sugar():
     K, normal = eliminate_by_normal_selection(H, sig.with_central(u1))
     assert list(J.generators) == [g.substitute_central(u1, 0).over(sig) for g in K]
     assert by_sugar.spairs < normal.spairs
+
+
+def _initial_ideal_input(fixture, request):
+    """(sig, I0, the poly signature) for algorithm 2's in(I0) of a fixture:
+    Ann f^s, intersected with D_Y x for x2y3_g_x."""
+    name = fixture.removesuffix("_g_x")
+    inp = request.getfixturevalue(name)
+    sig = inp.weyl_sig()
+    I0 = LeftIdeal(sig, ann_fs_generators(inp))
+    if name != fixture:
+        I0 = intersect(I0, LeftIdeal(sig, [gen(sig, "x")]))
+    return sig, I0, inp.poly_sig()
+
+
+@pytest.fixture(scope="module")
+def x2xyy4():
+    return make_input(("x", "y"), ("x^2", "x*y", "y^4"))
+
+
+@pytest.mark.parametrize(
+    "fixture", ["cusp", "two_branch", "four_lines", "x2xyy4", "x2y3_g_x"]
+)
+def test_initial_ideal_with_then_is_the_same_ideal(request, fixture):
+    # then only reorders the run; the ideal, (-w,w)-homogeneous, stays
+    sig, I0, poly = _initial_ideal_input(fixture, request)
+    vw = WeightVector.v_filtration(sig)
+    J = initial_ideal(I0, vw, poly)
+    assert ideal_equal(J, initial_ideal(I0, vw))
+    assert all(g.is_homogeneous(vw) for g in J.generators)
+
+
+def test_initial_ideal_block_order_keeps_sugar_in_fewer_spairs(x2xyy4):
+    # the top row still weighs only the central u2, so the block-order run
+    # selects by sugar, and its second row cuts the S-pairs
+    sig = x2xyy4.weyl_sig()
+    vw = WeightVector.v_filtration(sig)
+    ann = LeftIdeal(sig, ann_fs_generators(x2xyy4))
+    with collect_stats() as one_row:
+        initial_ideal(ann, vw)
+    spy = mock.patch.object(groebner, "_buchberger", wraps=_buchberger)
+    with spy as run, collect_stats() as block:
+        initial_ideal(ann, vw, x2xyy4.poly_sig())
+    (call,) = run.call_args_list
+    _, _, order, sugar = call.args
+    assert len(order.rows) == 2 and sugar
+    assert block.spairs < one_row.spairs
 
 
 def _counts(stats):

@@ -266,12 +266,16 @@ def test_bfunction_alg2_agrees():
     gx = parse_polynomial("x", ("x", "y"))
     assert str(bfunction_alg2(cusp.with_g(gx))) == "(s+1)(s+11/6)(s+13/6)"
     # inputs the cross-check corpus lacks: a repeated root with g, a
-    # non-principal ideal with g, and one whose in(I0) basis takes 115
-    # S-pairs
+    # non-principal ideal with g, and one whose in(I0) basis takes 117
+    # S-pairs; then those where the block order of initial_ideal cuts its
+    # run's reductions most (two_branch 795 -> 389, four_lines 732 -> 211)
     for polys, g in (
         (("x*y*(x+y)*(x+2*y)",), "x"),
         (("x^3", "y^4"), "y"),
         (("x^2", "x*y", "y^4"), None),
+        (("(x+y)^2-(x-y)^5",), None),
+        (("x*y*(x+y)*(x+2*y)",), None),
+        (("x^2", "y^3"), "x"),
     ):
         a = make_input(("x", "y"), polys, g)
         assert bfunction_alg2(a) == bfunction(a)
