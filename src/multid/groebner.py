@@ -29,19 +29,21 @@ a flat list o1, c1, o2, c2, ... of order ints and coefficients, sorted
 descending by order int.  Order ints compare like `TermOrder.key`, key the
 dicts and, negated, the reducer's heap; the exponent int of a monomial,
 which `Packing.exp_of` derives from its order int, tests divisibility and
-forms lcms with a few integer operations.  `_packed` packs the input once
-on the way in, sorting each list by order int, with fields sized from its
-degrees, and the result is unpacked once on the way out; so the core alone
-orders and normalizes term lists.  A run whose monomials would outgrow the
-fields raises PackingOverflow before any field carries and starts again
-with wider fields, so it never returns a wrong basis.  All reduction
-arithmetic is fraction free, and the reducer has one mode: it returns the
-remainder as a primitive polynomial, which is all a basis or a membership
-test needs, with the rational factor that makes it the exact normal form,
-which `minimal_polynomial` needs.  Every reduction, S-pair
-and interreduction goes through one `_Basis` per packing: the elements
-with a divisor index on their leads and, kept for the run, their products
-with the differential parts of multipliers.
+forms lcms with a few integer operations.  Every packed computation, a
+basis, a membership test, a minimal polynomial or the S-pair audit, enters
+the core through `_packed`, which also counts its work and times it.  It
+packs the input once on the way in, sorting each list by order int, with
+fields sized from its degrees, and the result is unpacked once on the way
+out; so the core alone orders and normalizes term lists.  A run whose
+monomials would outgrow the fields raises PackingOverflow before any field
+carries and starts again with wider fields, so it never returns a wrong
+basis.  All reduction arithmetic is fraction free, and the reducer has one
+mode: it returns the remainder as a primitive polynomial, which is all a
+basis or a membership test needs, with the rational factor that makes it
+the exact normal form, which `minimal_polynomial` needs.  Every reduction,
+S-pair and interreduction goes through one `_Basis` per packing: the
+elements with a divisor index on their leads and, kept for the run, their
+products with the differential parts of multipliers.
 
 The ideal layer has one canonical basis, the reduced monic grevlex basis
 of `LeftIdeal.groebner`, and one membership test, `member`, which reduces
@@ -50,19 +52,19 @@ or handed over by `eliminate`; a basis under another order comes from
 `basis_ipolys`, afresh for each caller.
 
 One Buchberger loop computes every basis, and the top row of the term
-order picks its pair selection.  A top row that weighs a slot of the Weyl
-part (an x, t, Dx or Dt) eliminates Weyl slots, as the restrictions to
-C[x,s] behind J_f(m) and I_2 do, or orders by them, as algorithm 2's basis
-of its initial ideal does: those runs use normal selection, since sugar
-needed more S-pairs and reductions on the restrictions.  Every other top row
-weighs central slots or none: plain grevlex, and the eliminations of u1
-and u2 (I_{f,1}) and of u2 (`initial_ideal`), whose lower rows may weigh
-Weyl slots, of u (`intersect`), of y (`saturate`) and of x or s in
-C[x,s].  Those runs select by sugar, which on the weight homogenizations
-behind I_{f,1} and `initial_ideal` needed a fifth to two thirds of the
-S-pairs of normal selection (CHANGES.md has the numbers, in its entry on
-sugar pair selection); on I_{f,1}'s block order normal selection is far
-worse still.
+order picks its pair selection, `TermOrder.by_sugar`.  A top row that
+weighs a slot of the Weyl part (an x, t, Dx or Dt) eliminates Weyl slots,
+as the restrictions to C[x,s] behind J_f(m) and I_2 do, or orders by them,
+as algorithm 2's basis of its initial ideal does: those runs use normal
+selection, since sugar needed more S-pairs and reductions on the
+restrictions.  Every other top row weighs central slots or none: plain
+grevlex, and the eliminations of u1 and u2 (I_{f,1}) and of u2
+(`initial_ideal`), whose lower rows may weigh Weyl slots, of u
+(`intersect`), of y (`saturate`) and of x or s in C[x,s].  Those runs
+select by sugar, which on the weight homogenizations behind I_{f,1} and
+`initial_ideal` needed a fifth to two thirds of the S-pairs of normal
+selection (CHANGES.md has the numbers, in its entry on sugar pair
+selection); on I_{f,1}'s block order normal selection is far worse still.
 The reduced basis is the same under either selection.
 """
 
@@ -91,11 +93,11 @@ class TermOrder:
     rows are weight vectors, top row first; without one, the order is
     plain grevlex.  All slot weights must be nonnegative (a genuine term
     order); elimination orders are realized by weighting the eliminated
-    block positively, and a block order by one row per block.  `weights`
-    is the top row, the one that picks the pair selection.  `key` is the
-    reference definition, which the tests hold the order ints of
-    `weyl.Packing` to; the Groebner core sorts and compares by those ints
-    and never calls `key`.
+    block positively, and a block order by one row per block.  `by_sugar`
+    is the pair selection its top row picks.  `key` is the reference
+    definition, which the tests hold the order ints of `weyl.Packing` to;
+    the Groebner core sorts and compares by those ints and never calls
+    `key`.
     """
 
     __slots__ = ("sig", "rows")
@@ -110,8 +112,11 @@ class TermOrder:
         self.rows = rows or ((0,) * sig.nslots,)
 
     @property
-    def weights(self) -> tuple:
-        return self.rows[0]
+    def by_sugar(self) -> bool:
+        """Whether a Buchberger run under this order selects pairs by
+        sugar: unless the top row weighs a slot of the Weyl part, as the
+        module docstring sets out."""
+        return not any(self.rows[0][: 2 * (self.sig.n + self.sig.r)])
 
     @staticmethod
     def grevlex(sig: Signature) -> "TermOrder":
@@ -148,28 +153,43 @@ def from_ipoly(sig: Signature, terms: list) -> WeylElement:
 _HEADROOM = 4
 
 
-def _packed(sig: Signature, order: TermOrder, polys: list, run):
-    """run(pk, packed polys) under a `Packing` of sig and order.
+def _packed(sig: Signature, order: TermOrder, polys: list, run) -> tuple:
+    """(run(pk, packed polys, stats), stats) under a `Packing` of sig and
+    order: the one entry into the packed core.
 
     polys are integer term lists with exponent tuples, in any order; each
     is handed to run as a flat list of order ints and coefficients, sorted
     descending by order int.  The fields start at _HEADROOM times the
     largest input degree; if run raises PackingOverflow, it runs again from
-    the start with one more bit per field, so a result never comes from a
-    carried field.
+    the start with one more bit per field and fresh GBStats, so a result
+    never comes from a carried field.  The stats of the last attempt, with
+    the wall time of all of them, are added to the enclosing
+    `collect_stats` block, also when the time cap cuts the run off; a run
+    outside any block is its own block, with its own time budget.
     """
+    if _REQUEST.get() is None:
+        with collect_stats():
+            return _packed(sig, order, polys, run)
+    check_deadline()
+    t0 = time.monotonic()
     deg = max((sum(e) for ip in polys for e, _ in ip), default=0)
     bound = _HEADROOM * max(deg, 1)
-    while True:
-        pk = Packing(sig, order.rows, bound)
-        packed = [
-            _flat(sorted(((pk.pack(e)[0], c) for e, c in ip), reverse=True))
-            for ip in polys
-        ]
-        try:
-            return run(pk, packed)
-        except PackingOverflow:
-            bound = 2 * pk.limit + 1
+    stats = GBStats()
+    try:
+        while True:
+            pk = Packing(sig, order.rows, bound)
+            packed = [
+                _flat(sorted(((pk.pack(e)[0], c) for e, c in ip), reverse=True))
+                for ip in polys
+            ]
+            try:
+                return run(pk, packed, stats), stats
+            except PackingOverflow:
+                bound = 2 * pk.limit + 1
+                stats = GBStats()
+    finally:
+        stats.millis += int((time.monotonic() - t0) * 1000)
+        _REQUEST.get()[0].merge(stats)
 
 
 def _flat(pairs) -> list:
@@ -440,28 +460,22 @@ class _Basis:
 def buchberger_ipolys(
     sig: Signature, gens: list, order: TermOrder
 ) -> tuple[list, GBStats]:
-    """Buchberger with the Gebauer-Moeller pair update.
+    """The unique reduced basis of gens under order, with the run's GBStats.
 
-    Input and output are integer term lists; the output is the unique
-    reduced basis, in the format the module docstring states.  Pairs are
-    selected by sugar unless the order's top row weighs a Weyl slot, as the
-    module docstring sets out.
-    The run's GBStats come back with it and are added to the enclosing
-    `collect_stats` block, also when the time cap cuts the run off; a run
-    outside any block is its own block, with its own time budget.
+    Input and output are integer term lists, in the format the module
+    docstring states.  Pairs are selected as `order.by_sugar` says, and
+    the stats are counted as `_packed` sets out.
     """
-    sugar = not any(order.weights[: 2 * (sig.n + sig.r)])
-    if _REQUEST.get() is None:
-        with collect_stats():
-            return _buchberger(sig, gens, order, sugar)
-    return _buchberger(sig, gens, order, sugar)
+    sugar = order.by_sugar
+    return _packed(
+        sig, order, gens, lambda pk, p, st: _buchberger_packed(pk, p, sugar, st)
+    )
 
 
-def _buchberger(sig: Signature, gens: list, order: TermOrder, sugar: bool) -> tuple:
-    """The Buchberger loop behind `buchberger_ipolys`.
+def _buchberger_packed(pk: Packing, gens: list, sugar: bool, stats: GBStats) -> list:
+    """Buchberger with the Gebauer-Moeller pair update, on packed gens.
 
-    Takes and returns integer term lists with exponent tuples; the loop
-    itself runs on their packed form (`_packed`).
+    Returns the reduced basis as integer term lists with exponent tuples.
 
     Pairs are pruned once, when an element is added, by the update of
     Gebauer and Moeller (JSC 6, 1988): criterion B on the open pairs, then
@@ -478,28 +492,8 @@ def _buchberger(sig: Signature, gens: list, order: TermOrder, sugar: bool) -> tu
     max(sug_i + deg lcm - deg lead_i, sug_j + deg lcm - deg lead_j), and an
     element added from a pair gets max(pair sugar, deg nf).  The bound
     holds in the Weyl algebra too, since deg(m g) <= deg m + deg g.  sugar
-    picks one of the two; `buchberger_ipolys` derives it from the order.
+    picks one of the two; `buchberger_ipolys` takes it from the order.
     """
-    attempts: list = []  # the GBStats of each packing tried
-
-    def run(pk: Packing, packed: list) -> list:
-        # a restart with wider fields counts from zero
-        attempts.append(GBStats())
-        return _buchberger_packed(pk, packed, sugar, attempts[-1])
-
-    check_deadline()
-    t0 = time.monotonic()
-    try:
-        reduced = _packed(sig, order, gens, run)
-    finally:
-        # a run that ComputationTimeout cuts off counts its work so far
-        stats = attempts[-1]
-        stats.millis += int((time.monotonic() - t0) * 1000)
-        _REQUEST.get()[0].merge(stats)
-    return reduced, stats
-
-
-def _buchberger_packed(pk: Packing, gens: list, sugar: bool, stats: GBStats) -> list:
     guards, ones, vmask, width = pk.guards, pk.ones, pk.vmask, pk.width
     dshift, var_guards = pk.dshift, pk.var_guards
     diff_to_var = pk.nr * (width + 1)  # a differential's slot to its variable's
@@ -622,9 +616,8 @@ def spairs_reduce_to_zero(sig: Signature, G: list, order: TermOrder) -> bool:
     criteria used during the computation.
     """
 
-    def run(pk: Packing, G: list) -> bool:
+    def run(pk: Packing, G: list, stats: GBStats) -> bool:
         basis = _Basis(pk, G)
-        stats = GBStats()
         for i in range(len(G)):
             for j in range(i + 1, len(G)):
                 lcm = pk.lcm(basis.leads[i], basis.leads[j])
@@ -632,7 +625,7 @@ def spairs_reduce_to_zero(sig: Signature, G: list, order: TermOrder) -> bool:
                     return False
         return True
 
-    return _packed(sig, order, G, run)
+    return _packed(sig, order, G, run)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -867,24 +860,6 @@ def saturate(I: LeftIdeal, p: WeylElement) -> LeftIdeal:
     return eliminate(LeftIdeal(big, gens), sig)
 
 
-def _reducing(sig: Signature, order: TermOrder, polys: list, run):
-    """_packed for a run(pk, packed polys, stats) that only reduces: the
-    steps of the last packing tried count in the enclosing `collect_stats`
-    block, not in any run's GBStats, also when the time cap cuts it off."""
-    attempts: list = []
-
-    def attempt(pk: Packing, packed: list):
-        attempts.append(GBStats())
-        return run(pk, packed, attempts[-1])
-
-    try:
-        return _packed(sig, order, polys, attempt)
-    finally:
-        request = _REQUEST.get()
-        if request is not None and attempts:
-            request[0].merge(attempts[-1])
-
-
 def member(h: WeylElement, I: LeftIdeal) -> bool:
     """True iff h reduces to zero against the grevlex Groebner basis of I
     (membership does not depend on the order)."""
@@ -900,7 +875,7 @@ def member(h: WeylElement, I: LeftIdeal) -> bool:
         ip, *G = polys
         return not _Basis(pk, G).reduce(*_working(ip), stats)[0]
 
-    return _reducing(I.sig, order, [to_ipoly(h)] + I.groebner_ipolys(), run)
+    return _packed(I.sig, order, [to_ipoly(h)] + I.groebner_ipolys(), run)[0]
 
 
 def minimal_polynomial(
@@ -972,7 +947,7 @@ def minimal_polynomial(
             r, q = basis.reduce(*_working(prod), stats)
             scales.append(scales[-1] * q / alpha)
 
-    return _reducing(I.sig, order, [ia, ig] + basis_ipolys(I, order), run)
+    return _packed(I.sig, order, [ia, ig] + basis_ipolys(I, order), run)[0]
 
 
 def ideal_equal(I: LeftIdeal, J: LeftIdeal) -> bool:

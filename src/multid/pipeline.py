@@ -223,12 +223,12 @@ def ideal_power_products(input: IdealInput, m: int) -> list[WeylElement]:
 def expand_in_s(factors, sig: Signature) -> WeylElement:
     """prod (s - root)^mult over the (root, multiplicity) pairs, as an
     element of sig, which has s as a central variable."""
-    s = WeylElement.generator(sig, S_NAME)
-    p = WeylElement.one(sig)
-    for root, mult in factors:
-        for _ in range(mult):
-            p = p * (s - WeylElement.constant(sig, root))
-    return p
+    k = sig.slot_of(S_NAME)
+    zero = (0,) * sig.nslots
+    coeffs = FactoredBPoly(tuple(factors)).expand().coeffs
+    return WeylElement(
+        sig, {zero[:k] + (j,) + zero[k + 1 :]: c for j, c in enumerate(coeffs)}
+    )
 
 
 def _adjoin_s_and_restrict(input: IdealInput, gens) -> LeftIdeal:
@@ -275,34 +275,20 @@ def defining_ideal(input: IdealInput) -> LeftIdeal:
     return _build_I2(input) if _reads_I2(input) else build_Jf_m(input)
 
 
-def _principal_s_generator(I: LeftIdeal) -> UPoly:
-    """Monic generator of (I cap C[s]) for an ideal of C[x,s].
+def _b_of_colon(J: LeftIdeal, input: IdealInput) -> FactoredBPoly:
+    """Monic generator of (J : g) cap C[s], factored.
 
     The restriction of a reduced elimination basis is a reduced basis of
-    I cap C[s], which in one variable is the monic generator alone.
+    the ideal of C[s], which in one variable is the monic generator alone.
     """
-    K = eliminate(I, s_ring())
+    K = eliminate(colon(J, input.g.over(J.sig)), s_ring())
     if K.is_zero_ideal():
-        return UPoly.zero()
+        raise ZeroDivisor("the b-ideal is zero; input is degenerate")
     (p,) = K.generators
     coeffs = [Fraction(0)] * (p.total_degree() + 1)
     for e, c in p.terms.items():
         coeffs[e[0]] = c
-    return UPoly(coeffs)
-
-
-def _b_from_s_ideal(I: LeftIdeal) -> FactoredBPoly:
-    p = _principal_s_generator(I)
-    if p.is_zero():
-        raise ZeroDivisor("the b-ideal is zero; input is degenerate")
-    if p.degree == 0:
-        return FactoredBPoly(())
-    return rational_roots(p)
-
-
-def _b_of_colon(J: LeftIdeal, input: IdealInput) -> FactoredBPoly:
-    """Monic generator of (J : g) cap C[s]."""
-    return _b_from_s_ideal(colon(J, input.g.over(J.sig)))
+    return rational_roots(UPoly(coeffs))
 
 
 def bfunction(input: IdealInput) -> FactoredBPoly:
@@ -370,7 +356,4 @@ def bfunction_alg2(input: IdealInput) -> FactoredBPoly:
     poly = input.poly_sig()
     I1 = initial_ideal(I0, WeightVector.v_filtration(sig), poly)
     order = _elimination_order(sig, poly)
-    b = UPoly(minimal_polynomial(I1, order, build_sigma(sig), g))
-    if b.degree == 0:
-        return FactoredBPoly(())
-    return rational_roots(b)
+    return rational_roots(UPoly(minimal_polynomial(I1, order, build_sigma(sig), g)))

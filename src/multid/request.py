@@ -19,7 +19,12 @@ TIME_LIMIT_ENV = "MULTID_TIME_LIMIT_MS"
 
 @dataclass
 class GBStats:
-    """Diagnostic counters for one Groebner basis run, in `--stats` order."""
+    """Diagnostic counters for one Groebner run, in `--stats` order.
+
+    A run may be a basis run or a reduction-only one (a membership test, a
+    minimal polynomial, an S-pair audit), which counts only its reduction
+    steps, its largest coefficient and its wall time.
+    """
 
     spairs: int = 0
     zero_spairs: int = 0

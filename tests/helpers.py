@@ -2,8 +2,9 @@
 
 from multid.groebner import (
     LeftIdeal,
-    _buchberger,
+    _buchberger_packed,
     _elimination_order,
+    _packed,
     collect_stats,
     from_ipoly,
     ideal_equal,
@@ -28,6 +29,14 @@ def gens_match(gens, variables, *polys):
     return ideal_equal(LeftIdeal(sig, list(gens)), ideal_of(variables, *polys))
 
 
+def buchberger_by(sig, gens, order, sugar):
+    """`buchberger_ipolys(sig, gens, order)` with the pair selection forced
+    to sugar (True) or normal (False) instead of `order.by_sugar`."""
+    return _packed(
+        sig, order, gens, lambda pk, p, st: _buchberger_packed(pk, p, sugar, st)
+    )
+
+
 def eliminate_by_normal_selection(I, target, then=None):
     """The generators of `eliminate(I, target, then)`, forcing normal
     selection.
@@ -39,6 +48,6 @@ def eliminate_by_normal_selection(I, target, then=None):
     order = _elimination_order(sig, target, then)
     gens = [to_ipoly(g) for g in I.generators]
     with collect_stats() as stats:
-        basis, _ = _buchberger(sig, gens, order, False)
+        basis, _ = buchberger_by(sig, gens, order, False)
     elements = [from_ipoly(sig, g) for g in basis]
     return [g.over(target) for g in elements if g.support_slots() <= keep], stats

@@ -4,11 +4,10 @@ from unittest import mock
 import pytest
 
 from multid import groebner
-from multid.errors import NoncommutativeContext, SignatureMismatch
+from multid.errors import InvalidSetting, NoncommutativeContext, SignatureMismatch
 from multid.groebner import (
     LeftIdeal,
     TermOrder,
-    _buchberger,
     basis_ipolys,
     buchberger_ipolys,
     collect_stats,
@@ -33,10 +32,11 @@ from multid.pipeline import (
     compute_If1,
     polynomial_ring,
 )
+from multid.request import TIME_LIMIT_ENV
 from multid.weyl import Signature, WeightVector, WeylElement
 
 from conftest import make_input
-from helpers import eliminate_by_normal_selection, ideal_of
+from helpers import buchberger_by, eliminate_by_normal_selection, ideal_of
 
 
 XYZ = ("x", "y", "z")
@@ -319,12 +319,12 @@ def test_initial_ideal_block_order_keeps_sugar_in_fewer_spairs(x2xyy4):
     ann = LeftIdeal(sig, ann_fs_generators(x2xyy4))
     with collect_stats() as one_row:
         initial_ideal(ann, vw)
-    spy = mock.patch.object(groebner, "_buchberger", wraps=_buchberger)
+    spy = mock.patch.object(groebner, "buchberger_ipolys", wraps=buchberger_ipolys)
     with spy as run, collect_stats() as block:
         initial_ideal(ann, vw, x2xyy4.poly_sig())
     (call,) = run.call_args_list
-    _, _, order, sugar = call.args
-    assert len(order.rows) == 2 and sugar
+    _, _, order = call.args
+    assert len(order.rows) == 2 and order.by_sugar
     assert block.spairs < one_row.spairs
 
 
@@ -336,8 +336,8 @@ def _both_selections(sig, gens, order):
     """The GBStats of a sugar and of a normal-selection run."""
     with collect_stats():
         return (
-            _buchberger(sig, gens, order, True)[1],
-            _buchberger(sig, gens, order, False)[1],
+            buchberger_by(sig, gens, order, True)[1],
+            buchberger_by(sig, gens, order, False)[1],
         )
 
 
@@ -362,21 +362,22 @@ def test_selection_follows_the_order():
     # I_{f,1}'s block order weighs t, Dx and Dt only in its lower row, and
     # the top row alone picks the selection
     inp = make_input(("x", "y"), ("x^2", "y^3"))
-    spy = mock.patch.object(groebner, "_buchberger", wraps=_buchberger)
+    spy = mock.patch.object(groebner, "buchberger_ipolys", wraps=buchberger_ipolys)
     with spy as run, collect_stats() as if1:
         compute_If1(inp)
     (call,) = run.call_args_list
-    assert len(call.args[2].rows) == 2
-    by_sugar, normal = _both_selections(*call.args[:3])
+    assert len(call.args[2].rows) == 2 and call.args[2].by_sugar
+    by_sugar, normal = _both_selections(*call.args)
     assert _counts(by_sugar) != _counts(normal)
     assert _counts(if1) == _counts(by_sugar)
     # the restriction of J_f(1) to C[x,s] weighs t, Dx and Dt; for
     # <x^2, y^3> (unlike the cusp) the two selections differ there
-    spy = mock.patch.object(groebner, "_buchberger", wraps=_buchberger)
+    spy = mock.patch.object(groebner, "buchberger_ipolys", wraps=buchberger_ipolys)
     with spy as run, collect_stats() as jf:
         build_Jf_m(inp)
     (call,) = run.call_args_list
-    by_sugar, normal = _both_selections(*call.args[:3])
+    assert not call.args[2].by_sugar
+    by_sugar, normal = _both_selections(*call.args)
     assert _counts(by_sugar) != _counts(normal)
     assert _counts(jf) == _counts(normal)
 
@@ -598,3 +599,32 @@ def test_minimal_polynomial_steps_count_in_the_request_block():
     with collect_stats() as stats:
         assert minimal_polynomial(I, order, x, one) == [0, 0, 1]
     assert stats.reductions > run.reductions
+
+
+def test_spair_audit_steps_count_in_the_request_block():
+    # the audit reduces every S-pair of the basis; its steps reach the block
+    I = ideal_of(XYZ, "x^2-y", "x^3-z")
+    order = TermOrder.grevlex(I.sig)
+    basis = I.groebner_ipolys()
+    with collect_stats() as stats:
+        assert spairs_reduce_to_zero(I.sig, basis, order)
+    assert stats.spairs == 0
+    assert stats.reductions > 0
+
+
+def test_member_outside_a_block_reads_the_time_budget(monkeypatch):
+    # I holds its basis, so member starts no basis run; outside any block
+    # it opens its own, which reads the budget, as a basis run does
+    I = ideal_of(XYZ, "x^2-y", "x^3-z")
+    I.groebner_ipolys()
+    monkeypatch.setenv(TIME_LIMIT_ENV, "abc")
+    with pytest.raises(InvalidSetting, match=TIME_LIMIT_ENV):
+        member(pol("x^2-y"), I)
+
+
+def test_spair_audit_outside_a_block_reads_the_time_budget(monkeypatch):
+    I = ideal_of(XYZ, "x^2-y", "x^3-z")
+    basis = I.groebner_ipolys()
+    monkeypatch.setenv(TIME_LIMIT_ENV, "abc")
+    with pytest.raises(InvalidSetting, match=TIME_LIMIT_ENV):
+        spairs_reduce_to_zero(I.sig, basis, TermOrder.grevlex(I.sig))

@@ -254,8 +254,8 @@ def test_bfunction_and_bfunction_level_share_one_memo_entry():
     inp = make_input(variables, ("x^2", "y^3"), m=2)
     inp = inp.with_g(parse_polynomial("x", variables))
     b = bfunction(inp)
-    real = groebner._buchberger
-    with mock.patch.object(groebner, "_buchberger", wraps=real) as run:
+    real = groebner.buchberger_ipolys
+    with mock.patch.object(groebner, "buchberger_ipolys", wraps=real) as run:
         assert bfunction_level(inp) == b
     run.assert_not_called()
 

@@ -7,12 +7,13 @@ with the multid sources from the `src/` next to this directory, and then
 `jumps <x^2,y^3> --cmax 2` once more: the same command as `jumps_x2y3`, so
 its lines also show that a repeated query in one process repeats its runs.
 
-`groebner._buchberger` is wrapped from outside, and each of its runs prints
-one line: the query, the run's index in it, its pair selection, the
+`groebner.buchberger_ipolys`, the hook `perfbench/spans.py` also wraps,
+is wrapped from outside, and each of its runs prints one line: the query,
+the run's index in it, its pair selection (`TermOrder.by_sugar`), the
 counters `spairs`, `reductions`, `zero_spairs` and `max_coeff_bits`, and a
 hash of the reduced basis (its slot names, term order's weight rows and
-integer term lists, in their order).  The closing lines give the number of runs and one
-digest of all the bases and one of all the counters.
+integer term lists, in their order).  The closing lines give the number of
+runs and one digest of all the bases and one of all the counters.
 
 A change that should keep every computation the same, such as a faster
 data structure in the reducer, must print the same lines before and after.
@@ -60,22 +61,22 @@ def _hash(obj) -> str:
 def query_runs(query) -> tuple[list, bool]:
     """(one digest line per Gröbner run, whether the query succeeded)."""
     runs = []
-    real = groebner._buchberger
+    real = groebner.buchberger_ipolys
 
-    def recorded(sig, gens, order, sugar):
-        basis, stats = real(sig, gens, order, sugar)
+    def recorded(sig, gens, order):
+        basis, stats = real(sig, gens, order)
         # a one-row order hashes as its row, as before block orders existed
-        rows = order.rows if len(order.rows) > 1 else order.weights
-        runs.append((sig.slot_names, rows, sugar, basis, stats))
+        rows = order.rows if len(order.rows) > 1 else order.rows[0]
+        runs.append((sig.slot_names, rows, order.by_sugar, basis, stats))
         return basis, stats
 
     out = io.StringIO()
-    groebner._buchberger = recorded
+    groebner.buchberger_ipolys = recorded
     try:
         with contextlib.redirect_stdout(out):
             code = cli.main(list(query.argv))
     finally:
-        groebner._buchberger = real
+        groebner.buchberger_ipolys = real
     ok = code == 0 and (
         query.expected is None or out.getvalue().rstrip("\n") == query.expected
     )
