@@ -47,8 +47,9 @@ products with the differential parts of multipliers.
 
 The ideal layer has one canonical basis, the reduced monic grevlex basis
 of `LeftIdeal.groebner`, and one membership test, `member`, which reduces
-against it.  A `LeftIdeal` holds at most that basis, computed on first use
-or handed over by `eliminate`; a basis under another order comes from
+against it, in one request with the basis run when that is still due.
+A `LeftIdeal` holds at most that basis, computed on first use or handed
+over by `eliminate`; a basis under another order comes from
 `basis_ipolys`, afresh for each caller.
 
 One Buchberger loop computes every basis, and the top row of the term
@@ -60,7 +61,7 @@ selection, since sugar needed more S-pairs and reductions on the
 restrictions.  Every other top row weighs central slots or none: plain
 grevlex, and the eliminations of u1 and u2 (I_{f,1}) and of u2
 (`initial_ideal`), whose lower rows may weigh Weyl slots, of u
-(`intersect`), of y (`saturate`) and of x or s in C[x,s].  Those runs
+(`intersect`), of y (`saturate`) and of s in C[x,s].  Those runs
 select by sugar, which on the weight homogenizations behind I_{f,1} and
 `initial_ideal` needed a fifth to two thirds of the S-pairs of normal
 selection (CHANGES.md has the numbers, in its entry on sugar pair
@@ -83,7 +84,7 @@ from .errors import (
     SignatureMismatch,
     ZeroDivisor,
 )
-from .request import _REQUEST, GBStats, check_deadline, collect_stats
+from .request import _REQUEST, GBStats, check_deadline, collect_stats, within_request
 from .weyl import Packing, Signature, WeightVector, WeylElement, mono_mul
 
 
@@ -167,29 +168,27 @@ def _packed(sig: Signature, order: TermOrder, polys: list, run) -> tuple:
     `collect_stats` block, also when the time cap cuts the run off; a run
     outside any block is its own block, with its own time budget.
     """
-    if _REQUEST.get() is None:
-        with collect_stats():
-            return _packed(sig, order, polys, run)
-    check_deadline()
-    t0 = time.monotonic()
-    deg = max((sum(e) for ip in polys for e, _ in ip), default=0)
-    bound = _HEADROOM * max(deg, 1)
-    stats = GBStats()
-    try:
-        while True:
-            pk = Packing(sig, order.rows, bound)
-            packed = [
-                _flat(sorted(((pk.pack(e)[0], c) for e, c in ip), reverse=True))
-                for ip in polys
-            ]
-            try:
-                return run(pk, packed, stats), stats
-            except PackingOverflow:
-                bound = 2 * pk.limit + 1
-                stats = GBStats()
-    finally:
-        stats.millis += int((time.monotonic() - t0) * 1000)
-        _REQUEST.get()[0].merge(stats)
+    with within_request():
+        check_deadline()
+        t0 = time.monotonic()
+        deg = max((sum(e) for ip in polys for e, _ in ip), default=0)
+        bound = _HEADROOM * max(deg, 1)
+        stats = GBStats()
+        try:
+            while True:
+                pk = Packing(sig, order.rows, bound)
+                packed = [
+                    _flat(sorted(((pk.pack(e)[0], c) for e, c in ip), reverse=True))
+                    for ip in polys
+                ]
+                try:
+                    return run(pk, packed, stats), stats
+                except PackingOverflow:
+                    bound = 2 * pk.limit + 1
+                    stats = GBStats()
+        finally:
+            stats.millis += int((time.monotonic() - t0) * 1000)
+            _REQUEST.get()[0].merge(stats)
 
 
 def _flat(pairs) -> list:
@@ -862,7 +861,8 @@ def saturate(I: LeftIdeal, p: WeylElement) -> LeftIdeal:
 
 def member(h: WeylElement, I: LeftIdeal) -> bool:
     """True iff h reduces to zero against the grevlex Groebner basis of I
-    (membership does not depend on the order)."""
+    (membership does not depend on the order).  The basis run, when I holds
+    no basis yet, and the reduction are one request."""
     if h.sig != I.sig:
         raise SignatureMismatch("member needs a common signature")
     if h.is_zero():
@@ -875,26 +875,34 @@ def member(h: WeylElement, I: LeftIdeal) -> bool:
         ip, *G = polys
         return not _Basis(pk, G).reduce(*_working(ip), stats)[0]
 
-    return _packed(I.sig, order, [to_ipoly(h)] + I.groebner_ipolys(), run)[0]
+    with within_request():
+        return _packed(I.sig, order, [to_ipoly(h)] + I.groebner_ipolys(), run)[0]
 
 
 def minimal_polynomial(
-    I: LeftIdeal, order: TermOrder, a: WeylElement, g: WeylElement
+    basis: list, order: TermOrder, a: WeylElement, g: WeylElement
 ) -> list[Fraction]:
     """The monic minimal polynomial of left multiplication by a on the class
     of g in D/I: coefficients c_0, ..., c_k = 1, lowest first, of the least
     k with sum_j c_j a^j g in I.
 
-    With NF the normal form against I's reduced basis under order, v_0 =
-    NF(g) and v_j = NF(a v_{j-1}); since I is a left ideal, a(h - NF(h))
-    lies in I, so v_j = NF(a^j g), and sum_j c_j a^j g lies in I exactly
-    when sum_j c_j v_j = 0.  The first Q-linear dependency among the v_j is
-    the answer: an element of I gives [1].  Each v_j is an exact normal
-    form, the primitive remainder of `_Basis.reduce` times its factor, and
+    basis is I's reduced basis under order as integer term lists, which
+    the caller computes or holds (`basis_ipolys`, or
+    `LeftIdeal.groebner_ipolys` for grevlex), so no Groebner run starts
+    here; a and g live in order.sig.  Both b-function routes read b this
+    way: s acting on 1 modulo J : g in C[x,s], and sigma acting on g modulo
+    algorithm 2's in(I0).
+
+    With NF the normal form against the basis, v_0 = NF(g) and v_j =
+    NF(a v_{j-1}); since I is a left ideal, a(h - NF(h)) lies in I, so
+    v_j = NF(a^j g), and sum_j c_j a^j g lies in I exactly when
+    sum_j c_j v_j = 0.  The first Q-linear dependency among the v_j is the
+    answer: an element of I gives [1].  Each v_j is an exact normal form,
+    the primitive remainder of `_Basis.reduce` times its factor, and
     a v_{j-1} comes from the product kernel.  The loop ends only when such
     a polynomial exists; it checks the request's time budget at every j.
     """
-    if a.sig != I.sig or g.sig != I.sig:
+    if a.sig != order.sig or g.sig != order.sig:
         raise SignatureMismatch("minimal_polynomial needs a common signature")
     ia, ig = to_ipoly(a), to_ipoly(g)
     # to_ipoly scales a by alpha; NF(a v) is NF((alpha a) v) / alpha
@@ -902,9 +910,9 @@ def minimal_polynomial(
 
     def run(pk: Packing, polys: list, stats: GBStats) -> list:
         pa, pg, *G = polys
-        basis = _Basis(pk, G)
+        reducer = _Basis(pk, G)
         a_terms = [(o, pk.exp_of(o), c) for o, c in _pairs(pa)]
-        r, q = basis.reduce(*_working(pg), stats)
+        r, q = reducer.reduce(*_working(pg), stats)
         scales = [q]  # v_j = scales[j] * r_j, r_j primitive
         # echelon rows: pivot (its lead) -> (int dict, {j: int}), the row
         # being the combination of the r_j that the second dict gives
@@ -944,10 +952,10 @@ def minimal_polynomial(
                     (o, ac * c)
                     for o, c in mono_mul(pk, ao, ae, _pairs(r), deg).items()
                 )
-            r, q = basis.reduce(*_working(prod), stats)
+            r, q = reducer.reduce(*_working(prod), stats)
             scales.append(scales[-1] * q / alpha)
 
-    return _packed(I.sig, order, [ia, ig] + basis_ipolys(I, order), run)[0]
+    return _packed(order.sig, order, [ia, ig] + basis, run)[0]
 
 
 def ideal_equal(I: LeftIdeal, J: LeftIdeal) -> bool:

@@ -1,18 +1,21 @@
 """Bernstein-Sato pipeline: I_f, I_{f,1}, J_f(m) and b-function extraction.
 
-Two routes to b_{a,g}(s):
+Two routes to b_{a,g}(s), both reading b as a monic minimal polynomial
+(`groebner.minimal_polynomial`):
 
-* `bfunction`: form J_f(m) = D_Y[s](I_{f,1} + a^m + <s - sigma>) cap C[x,s],
-  then read off the generator of (J_f(m) : g) cap C[s].
+* `bfunction`: form J_f(m) = D_Y[s](I_{f,1} + a^m + <s - sigma>) cap C[x,s]
+  and K = J_f(m) : g; the generator of K cap C[s] is the minimal
+  polynomial of s acting on 1 modulo K.
 * `bfunction_alg2` (m = 1 only): intersect Ann(prod f_i^{s_i}) with D_Y g,
   take the initial ideal in(I0) under the V-filtration weight (-w, w),
   then find b as the monic minimal polynomial of sigma acting on g modulo
   in(I0).  in(I0) is (-w, w)-homogeneous, so in(I0) sigma lies in in(I0),
   and then b(s) g lies in D_Y[s](in(I0) + <s - sigma>) exactly when
-  b(sigma) g lies in in(I0): no elimination in D_Y[s] is needed.  The loop
-  over the normal forms of sigma^k g ends because b_{a,g} is nonzero.
+  b(sigma) g lies in in(I0): no elimination in D_Y[s] is needed.
 
-Both return the monic generator fully factored over Q.
+Either loop over normal forms ends because b_{a,g} is nonzero (Budur,
+Mustata and Saito, 2006).  Both return the monic generator fully
+factored over Q.
 
 Stage results (I_{f,1}, J_f(m), I_{(f;g),2} and the `bfunction` /
 `bfunction_level` outputs) are memoised on the caller's `IdealInput`,
@@ -24,12 +27,13 @@ independent of the first route.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 
 from .errors import UnsupportedM, ZeroDivisor
 from .groebner import (
     LeftIdeal,
+    TermOrder,
     _elimination_order,
+    basis_ipolys,
     colon,
     eliminate,
     initial_ideal,
@@ -58,11 +62,6 @@ def polynomial_ring(variables) -> Signature:
 def polynomial_ring_s(variables) -> Signature:
     """C[x, s]."""
     return Signature(central=tuple(variables) + (S_NAME,))
-
-
-def s_ring() -> Signature:
-    """C[s]."""
-    return Signature(central=(S_NAME,))
 
 
 @dataclass(frozen=True)
@@ -278,27 +277,27 @@ def defining_ideal(input: IdealInput) -> LeftIdeal:
 def _b_of_colon(J: LeftIdeal, input: IdealInput) -> FactoredBPoly:
     """Monic generator of (J : g) cap C[s], factored.
 
-    The restriction of a reduced elimination basis is a reduced basis of
-    the ideal of C[s], which in one variable is the monic generator alone.
+    For K = J : g, a polynomial b lies in K cap C[s] exactly when b(s) 1
+    lies in K, so the generator is the minimal polynomial of s acting on 1
+    modulo K, read off K's reduced grevlex basis.  For g = 1 that basis is
+    J's own, handed over by its elimination; otherwise it takes one run.
     """
-    K = eliminate(colon(J, input.g.over(J.sig)), s_ring())
-    if K.is_zero_ideal():
-        raise ZeroDivisor("the b-ideal is zero; input is degenerate")
-    (p,) = K.generators
-    coeffs = [Fraction(0)] * (p.total_degree() + 1)
-    for e, c in p.terms.items():
-        coeffs[e[0]] = c
-    return rational_roots(UPoly(coeffs))
+    K = colon(J, input.g.over(J.sig))
+    s, one = WeylElement.generator(K.sig, S_NAME), WeylElement.one(K.sig)
+    b = minimal_polynomial(K.groebner_ipolys(), TermOrder.grevlex(K.sig), s, one)
+    return rational_roots(UPoly(b))
 
 
 def bfunction(input: IdealInput) -> FactoredBPoly:
     """The generalized Bernstein-Sato polynomial b_{a,g}(s).
 
     For m = 1 and nonconstant g this follows the colon construction on
-    D_Y[s](I_{f,1} + g a + <s - sigma>) cap C[x,s], giving the classical
-    b_{a,g}.  Otherwise it is b^{(m)}_{a,g}, the generator of
-    (J_f(m) : g) cap C[s], which `bfunction_level` computes and memoises;
-    the two notions agree when g = 1.
+    I_2 = D_Y[s](I_{f,1} + g a + <s - sigma>) cap C[x,s], giving the
+    classical b_{a,g}, the generator of (I_2 : g) cap C[s].  Otherwise it
+    is b^{(m)}_{a,g}, the generator of (J_f(m) : g) cap C[s], which
+    `bfunction_level` computes and memoises; the two notions agree when
+    g = 1.  Either generator is read as a minimal polynomial of s
+    (`_b_of_colon`).
     """
     if _reads_I2(input):
         return input.memoized(
@@ -308,7 +307,8 @@ def bfunction(input: IdealInput) -> FactoredBPoly:
 
 
 def bfunction_level(input: IdealInput) -> FactoredBPoly:
-    """b^{(m)}_{a,g}(s): monic generator of (J_f(m) : g) cap C[s].
+    """b^{(m)}_{a,g}(s): monic generator of (J_f(m) : g) cap C[s], the
+    minimal polynomial of s acting on 1 modulo J_f(m) : g.
 
     Unlike `bfunction` with m = 1, this variant reuses one memoised J_f(m)
     for every g, which is what the membership and filtration queries need;
@@ -356,4 +356,5 @@ def bfunction_alg2(input: IdealInput) -> FactoredBPoly:
     poly = input.poly_sig()
     I1 = initial_ideal(I0, WeightVector.v_filtration(sig), poly)
     order = _elimination_order(sig, poly)
-    return rational_roots(UPoly(minimal_polynomial(I1, order, build_sigma(sig), g)))
+    basis = basis_ipolys(I1, order)
+    return rational_roots(UPoly(minimal_polynomial(basis, order, build_sigma(sig), g)))

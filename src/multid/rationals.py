@@ -148,9 +148,6 @@ class FactoredBPoly:
     def is_one(self) -> bool:
         return not self.factors
 
-    def root_multiset(self) -> dict[Fraction, int]:
-        return dict(self.factors)
-
     def drop_one(self, root: Fraction) -> "FactoredBPoly":
         """Remove one copy of the factor (s - root)."""
         out = []

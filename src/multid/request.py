@@ -1,7 +1,8 @@
 """One request's Groebner counters and wall-time budget.
 
-`collect_stats` opens a request; `check_deadline` is read by every loop
-that can run long, the Weyl product as well as the Groebner core.
+`collect_stats` opens a request, and `within_request` joins the open one
+or opens one; `check_deadline` is read by every loop that can run long,
+the Weyl product as well as the Groebner core.
 """
 
 from __future__ import annotations
@@ -84,6 +85,17 @@ def collect_stats():
         yield total
     finally:
         _REQUEST.reset(token)
+
+
+@contextmanager
+def within_request():
+    """Run the block inside the open request, or in a new `collect_stats`
+    block when none is open, so that all of its work is one request."""
+    if _REQUEST.get() is not None:
+        yield
+    else:
+        with collect_stats():
+            yield
 
 
 def check_deadline():

@@ -395,12 +395,6 @@ class WeylElement:
         diff = self.sig.diff_slots()
         return all(all(e[i] == 0 for i in diff) for e in self.terms)
 
-    def support_slots(self) -> set[int]:
-        out: set[int] = set()
-        for e in self.terms:
-            out.update(i for i, v in enumerate(e) if v)
-        return out
-
     def total_degree(self) -> int:
         if not self.terms:
             return -1

@@ -1,17 +1,23 @@
 """Small construction/comparison utilities shared by the test modules."""
 
+from fractions import Fraction
+
 from multid.groebner import (
     LeftIdeal,
     _buchberger_packed,
     _elimination_order,
     _packed,
     collect_stats,
+    colon,
+    eliminate,
     from_ipoly,
     ideal_equal,
     to_ipoly,
 )
 from multid.parsing import parse_polynomial
-from multid.pipeline import polynomial_ring
+from multid.pipeline import S_NAME, polynomial_ring
+from multid.rationals import UPoly, rational_roots
+from multid.weyl import Signature
 
 
 def ideal_of(variables, *polys):
@@ -50,4 +56,20 @@ def eliminate_by_normal_selection(I, target, then=None):
     with collect_stats() as stats:
         basis, _ = buchberger_by(sig, gens, order, False)
     elements = [from_ipoly(sig, g) for g in basis]
-    return [g.over(target) for g in elements if g.support_slots() <= keep], stats
+    return [
+        g.over(target)
+        for g in elements
+        if all(not v or i in keep for e in g.terms for i, v in enumerate(e))
+    ], stats
+
+
+def b_by_elimination(J, input):
+    """The generator of (J : g) cap C[s], factored, read off the
+    elimination of J : g down to C[s]: an oracle for the minimal
+    polynomial that `pipeline._b_of_colon` reads instead."""
+    K = eliminate(colon(J, input.g.over(J.sig)), Signature(central=(S_NAME,)))
+    (p,) = K.generators
+    coeffs = [Fraction(0)] * (p.total_degree() + 1)
+    for e, c in p.terms.items():
+        coeffs[e[0]] = c
+    return rational_roots(UPoly(coeffs))

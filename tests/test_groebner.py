@@ -3,7 +3,7 @@ from unittest import mock
 
 import pytest
 
-from multid import groebner
+from multid import groebner, request
 from multid.errors import InvalidSetting, NoncommutativeContext, SignatureMismatch
 from multid.groebner import (
     LeftIdeal,
@@ -589,16 +589,39 @@ def test_member_steps_count_in_the_request_block():
 
 
 def test_minimal_polynomial_steps_count_in_the_request_block():
-    # x acting on C[x]/<x^2> has minimal polynomial t^2; the block counts
-    # the normal forms' steps on top of those of the basis run
+    # x acting on C[x]/<x^2> has minimal polynomial t^2; the caller hands
+    # in the basis, so the block counts the normal forms' steps and no run
     I = ideal_of(("x",), "x^2")
     order = TermOrder.grevlex(I.sig)
     x, one = pol("x", ("x",)), WeylElement.one(I.sig)
-    with collect_stats() as run:
-        basis_ipolys(I, order)
+    basis = basis_ipolys(I, order)
     with collect_stats() as stats:
-        assert minimal_polynomial(I, order, x, one) == [0, 0, 1]
-    assert stats.reductions > run.reductions
+        assert minimal_polynomial(basis, order, x, one) == [0, 0, 1]
+    assert stats.spairs == 0
+    assert stats.reductions > 0
+
+
+def test_member_and_minimal_polynomial_open_one_block(monkeypatch):
+    # outside any block, member's basis run and its reduction are one
+    # request, and so is a minimal polynomial
+    opened = []
+    real = request.collect_stats
+
+    def counting():
+        opened.append(1)
+        return real()
+
+    for module in (groebner, request):
+        monkeypatch.setattr(module, "collect_stats", counting)
+    I = ideal_of(XYZ, "x^2-y", "x^3-z")
+    assert member(pol("y^3-z^2"), I)
+    assert len(opened) == 1
+    J = ideal_of(("x",), "x^2")
+    basis = J.groebner_ipolys()
+    opened.clear()
+    x, one = pol("x", ("x",)), WeylElement.one(J.sig)
+    assert minimal_polynomial(basis, TermOrder.grevlex(J.sig), x, one) == [0, 0, 1]
+    assert len(opened) == 1
 
 
 def test_spair_audit_steps_count_in_the_request_block():

@@ -26,6 +26,7 @@ from multid.pipeline import (
     build_If,
     build_Jf_m,
     compute_If1,
+    defining_ideal,
     ideal_power_products,
     polynomial_ring,
     polynomial_ring_s,
@@ -33,7 +34,7 @@ from multid.pipeline import (
 from multid.weyl import WeightVector, WeylElement
 
 from conftest import make_input
-from helpers import eliminate_by_normal_selection
+from helpers import b_by_elimination, eliminate_by_normal_selection
 
 
 def gen(sig, name):
@@ -243,9 +244,31 @@ def test_bfunction_level_differs_for_nonunit_g():
     # The level-m polynomial of sigma on g*delta modulo V^1 is a proper
     # divisor of the classical relative b-function here: the functional
     # equation (s+1) x f^s = (1/2) Dx f^(s+1) kills everything at level 1.
-    cusp = make_input(("x", "y"), ("x^2+y^3",))
-    gx = parse_polynomial("x", ("x", "y"))
-    assert str(bfunction_level(cusp.with_g(gx))) == "(s+1)"
+    cusp = make_input(("x", "y"), ("x^2+y^3",), "x")
+    b = bfunction_level(cusp)
+    assert str(b) == "(s+1)"
+    assert b == b_by_elimination(build_Jf_m(cusp), cusp)
+
+
+@pytest.mark.parametrize(
+    "variables, polys, g",
+    [
+        (("x", "y"), ("x^2+y^3",), None),
+        (("x", "y"), ("x^2+y^3",), "x"),
+        (("x", "y"), ("x^2+y^3",), "y"),
+        (("x", "y"), ("(x+y)^2-(x-y)^5",), None),
+        (("x", "y"), ("x*y*(x+y)*(x+2*y)",), None),
+        (("x", "y"), ("x^2", "y^3"), None),
+        (("x", "y"), ("x^2", "y^3"), "x"),
+        (("x", "y"), ("x^2", "y^3"), "y"),
+        (("x1", "x2", "x3"), ("x2^2-x1*x3", "x1^3-x3^2"), None),
+    ],
+)
+def test_bfunction_agrees_with_the_elimination_to_C_s(variables, polys, g):
+    # the benchmark's bfunction_cold inputs: the minimal polynomial of s
+    # equals the generator that eliminating J : g down to C[s] gives
+    inp = make_input(variables, polys, g)
+    assert bfunction(inp) == b_by_elimination(defining_ideal(inp), inp)
 
 
 def test_bfunction_and_bfunction_level_share_one_memo_entry():
@@ -258,6 +281,7 @@ def test_bfunction_and_bfunction_level_share_one_memo_entry():
     with mock.patch.object(groebner, "buchberger_ipolys", wraps=real) as run:
         assert bfunction_level(inp) == b
     run.assert_not_called()
+    assert b == b_by_elimination(build_Jf_m(inp), inp)
 
 
 def test_bfunction_alg2_agrees():
@@ -296,8 +320,8 @@ def test_bfunction_generator_invariance():
 
 
 def _divides(b_small, b_big):
-    big = b_big.root_multiset()
-    return all(big.get(r, 0) >= m for r, m in b_small.root_multiset().items())
+    big = dict(b_big.factors)
+    return all(big.get(r, 0) >= m for r, m in b_small.factors)
 
 
 def test_bfunction_level_divisibility_in_g():
