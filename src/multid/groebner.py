@@ -859,6 +859,7 @@ def saturate(I: LeftIdeal, p: WeylElement) -> LeftIdeal:
     return eliminate(LeftIdeal(big, gens), sig)
 
 
+@within_request()
 def member(h: WeylElement, I: LeftIdeal) -> bool:
     """True iff h reduces to zero against the grevlex Groebner basis of I
     (membership does not depend on the order).  The basis run, when I holds
@@ -875,8 +876,7 @@ def member(h: WeylElement, I: LeftIdeal) -> bool:
         ip, *G = polys
         return not _Basis(pk, G).reduce(*_working(ip), stats)[0]
 
-    with within_request():
-        return _packed(I.sig, order, [to_ipoly(h)] + I.groebner_ipolys(), run)[0]
+    return _packed(I.sig, order, [to_ipoly(h)] + I.groebner_ipolys(), run)[0]
 
 
 def minimal_polynomial(
@@ -958,8 +958,10 @@ def minimal_polynomial(
     return _packed(order.sig, order, [ia, ig] + basis, run)[0]
 
 
+@within_request()
 def ideal_equal(I: LeftIdeal, J: LeftIdeal) -> bool:
-    """Equality via reduced Groebner bases under the canonical grevlex order."""
+    """Equality via reduced Groebner bases under the canonical grevlex order;
+    both basis runs are one request."""
     if I.sig != J.sig:
         raise SignatureMismatch("ideal_equal needs a common signature")
     return I.groebner_ipolys() == J.groebner_ipolys()

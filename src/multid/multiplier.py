@@ -25,7 +25,7 @@ from .pipeline import (
     ideal_power_products,
     polynomial_ring,
 )
-from .request import check_deadline
+from .request import check_deadline, within_request
 from .weyl import WeylElement
 
 
@@ -57,6 +57,7 @@ class MultiplierFiltration:
         return gens
 
 
+@within_request()
 def lct(input: IdealInput) -> Fraction:
     """The log-canonical threshold: minimal root of b_a(-s).
 
@@ -81,12 +82,22 @@ def _level_for(c: Fraction, lct_val: Fraction) -> int:
 
 
 def _multiplier_ideal_direct(input: IdealInput, c: Fraction) -> LeftIdeal:
-    """J(a^c) for c < lct + m via saturation of J_f(m)."""
-    J = build_Jf_m(input)
+    """J(a^c) for c < lct + m via saturation of J_f(m).
+
+    The ideal depends on c only through the roots it saturates away, so it
+    is memoised on m and those roots: the filtration walk and the step
+    J(a^c) = a^k J(a^{c-k}) then share one computation per ideal.
+    """
     b = bfunction_level(input.with_g(WeylElement.one(input.poly_sig())))
-    # prod (s + c_i) over the distinct roots -c_i with c_i > c
-    p = expand_in_s([(root, 1) for root in b.roots if -root > c], J.sig)
-    return eliminate(saturate(J, p), polynomial_ring(input.variables))
+    above = tuple(root for root in b.roots if -root > c)
+
+    def build():
+        J = build_Jf_m(input)
+        # prod (s + c_i) over the distinct roots -c_i with c_i > c
+        p = expand_in_s([(root, 1) for root in above], J.sig)
+        return eliminate(saturate(J, p), polynomial_ring(input.variables))
+
+    return input.memoized(("multiplier", input.m, above), build)
 
 
 def multiplier_ideal_ideal(input: IdealInput, c: Fraction) -> LeftIdeal:
@@ -111,6 +122,7 @@ def multiplier_ideal_ideal(input: IdealInput, c: Fraction) -> LeftIdeal:
     )
 
 
+@within_request()
 def multiplier_ideal(input: IdealInput, c: Fraction) -> list[WeylElement]:
     """Reduced grevlex generators of J(a^c)."""
     return multiplier_ideal_ideal(input, c).groebner()
@@ -145,6 +157,7 @@ def _jump_candidates(input: IdealInput, cmax: Fraction, lct_val: Fraction):
     return sorted(cands)
 
 
+@within_request()
 def jumping_coefficients(input: IdealInput, cmax: Fraction) -> MultiplierFiltration:
     """All jumping coefficients in (0, cmax] with the filtration steps."""
     cmax = Fraction(cmax)
@@ -166,6 +179,7 @@ def jumping_coefficients(input: IdealInput, cmax: Fraction) -> MultiplierFiltrat
     )
 
 
+@within_request()
 def membership_test(input: IdealInput, g: WeylElement, c: Fraction) -> bool:
     """g in J(a^c), decided by the roots of b^{(m)}_{a,g}(-s).
 

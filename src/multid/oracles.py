@@ -26,6 +26,7 @@ from .pipeline import (
     polynomial_ring,
 )
 from .rationals import FactoredBPoly
+from .request import within_request
 from .weyl import WeylElement
 
 
@@ -196,6 +197,7 @@ def howald_filtration(monomials, cmax, variables) -> MultiplierFiltration:
     )
 
 
+@within_request()
 def verify_minimality(b: FactoredBPoly, input: IdealInput) -> bool:
     """True iff no single factor of b can be dropped.
 
@@ -213,6 +215,7 @@ def verify_minimality(b: FactoredBPoly, input: IdealInput) -> bool:
     return True
 
 
+@within_request()
 def cross_check(input: IdealInput) -> bool:
     """Algorithm 1 and Algorithm 2 agree (m = 1 only)."""
     if input.m != 1:

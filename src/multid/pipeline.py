@@ -42,6 +42,7 @@ from .groebner import (
     weight_homogenization,
 )
 from .rationals import FactoredBPoly, UPoly, rational_roots
+from .request import within_request
 from .weyl import Signature, WeightVector, WeylElement, build_sigma
 
 S_NAME = "s"
@@ -176,6 +177,7 @@ def build_If(input: IdealInput) -> LeftIdeal:
     )
 
 
+@within_request()
 def compute_If1(input: IdealInput) -> LeftIdeal:
     """I_{f,1} = I_f cap D_Y = (Ann prod f_i^{s_i})^*, memoised per f.
 
@@ -238,6 +240,7 @@ def _adjoin_s_and_restrict(input: IdealInput, gens) -> LeftIdeal:
     return eliminate(LeftIdeal(big, lifted), polynomial_ring_s(input.variables))
 
 
+@within_request()
 def build_Jf_m(input: IdealInput) -> LeftIdeal:
     """J_f(m) = D_Y[s](I_{f,1} + a^m + <s - sigma>) cap C[x,s]."""
 
@@ -288,6 +291,7 @@ def _b_of_colon(J: LeftIdeal, input: IdealInput) -> FactoredBPoly:
     return rational_roots(UPoly(b))
 
 
+@within_request()
 def bfunction(input: IdealInput) -> FactoredBPoly:
     """The generalized Bernstein-Sato polynomial b_{a,g}(s).
 
@@ -306,6 +310,7 @@ def bfunction(input: IdealInput) -> FactoredBPoly:
     return bfunction_level(input)
 
 
+@within_request()
 def bfunction_level(input: IdealInput) -> FactoredBPoly:
     """b^{(m)}_{a,g}(s): monic generator of (J_f(m) : g) cap C[s], the
     minimal polynomial of s acting on 1 modulo J_f(m) : g.
@@ -320,6 +325,7 @@ def bfunction_level(input: IdealInput) -> FactoredBPoly:
     )
 
 
+@within_request()
 def bfunction_alg2(input: IdealInput) -> FactoredBPoly:
     """b_{a,g}(s) by the initial-ideal route (m = 1 only).
 

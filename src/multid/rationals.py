@@ -1,9 +1,10 @@
-"""Exact rational scalars and univariate polynomial arithmetic.
+"""Exact rational scalars and the two forms of a b-function.
 
 The scalar type is ``fractions.Fraction`` (arbitrary precision, always stored
-in lowest terms with a positive denominator).  Univariate polynomials over Q
-are dense coefficient lists in the variable s.
-b-functions are kept fully factored as (root, multiplicity) pairs.
+in lowest terms with a positive denominator).  A b-function arrives as the
+dense monic coefficients of a minimal polynomial in s (`UPoly`), is split
+over Q by `rational_roots`, and is kept fully factored as (root,
+multiplicity) pairs (`FactoredBPoly`), which `expand` multiplies out again.
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ def parse_rational(text: str) -> Fraction:
 
 
 class UPoly:
-    """Univariate polynomial over Q in the variable s, dense representation."""
+    """A univariate polynomial over Q in the variable s: its coefficients,
+    lowest degree first, with trailing zeros dropped."""
 
     __slots__ = ("coeffs",)
 
@@ -43,66 +45,10 @@ class UPoly:
             coeffs.pop()
         self.coeffs = tuple(coeffs)
 
-    @staticmethod
-    def zero() -> "UPoly":
-        return UPoly([])
-
-    @staticmethod
-    def one() -> "UPoly":
-        return UPoly([1])
-
-    @staticmethod
-    def linear_root(root: Fraction) -> "UPoly":
-        """(s - root)"""
-        return UPoly([-Fraction(root), Fraction(1)])
-
     @property
     def degree(self):
         """Degree, with -inf for the zero polynomial."""
         return len(self.coeffs) - 1 if self.coeffs else NEG_INFINITY
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, UPoly) and self.coeffs == other.coeffs
-
-    def __mul__(self, other: "UPoly") -> "UPoly":
-        if self.is_zero() or other.is_zero():
-            return UPoly.zero()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return UPoly(out)
-
-    def __repr__(self) -> str:
-        return f"UPoly({format_upoly(self)})"
-
-
-def format_upoly(p: UPoly, var: str = "s") -> str:
-    if p.is_zero():
-        return "0"
-    parts = []
-    for i in range(len(p.coeffs) - 1, -1, -1):
-        c = p.coeffs[i]
-        if c == 0:
-            continue
-        if i == 0:
-            term = format_rational(abs(c))
-        else:
-            mag = "" if abs(c) == 1 else format_rational(abs(c)) + "*"
-            term = f"{mag}{var}" + (f"^{i}" if i > 1 else "")
-        if not parts:
-            parts.append(("-" if c < 0 else "") + term)
-        else:
-            parts.append(("-" if c < 0 else "+") + term)
-    return "".join(parts)
 
 
 @dataclass(frozen=True)
@@ -133,17 +79,14 @@ class FactoredBPoly:
     def roots(self) -> tuple[Fraction, ...]:
         return tuple(r for r, _ in self.factors)
 
-    @property
-    def degree(self) -> int:
-        return sum(m for _, m in self.factors)
-
     def expand(self) -> UPoly:
-        out = UPoly.one()
+        """prod (s - root)^mult, by one synthetic multiplication by
+        (s - root) per factor: coefficient i becomes c_{i-1} - root c_i."""
+        coeffs = [Fraction(1)]
         for root, mult in self.factors:
-            lin = UPoly.linear_root(root)
             for _ in range(mult):
-                out = out * lin
-        return out
+                coeffs = [a - root * b for a, b in zip([0] + coeffs, coeffs + [0])]
+        return UPoly(coeffs)
 
     def is_one(self) -> bool:
         return not self.factors
@@ -230,9 +173,9 @@ def rational_roots(p: UPoly) -> FactoredBPoly:
     Raises IrrationalResidue if a nonconstant factor without rational roots
     remains.
     """
-    if p.is_zero():
+    if not p.coeffs:
         raise ValueError("cannot factor the zero polynomial")
-    if not p.is_monic():
+    if p.coeffs[-1] != 1:
         raise ValueError("polynomial must be monic")
     # the leading coefficient of a monic p is the lcm of the denominators,
     # so this integer list is already primitive
@@ -255,9 +198,9 @@ def rational_roots(p: UPoly) -> FactoredBPoly:
             if quot is not None:
                 break
         else:
-            residue = UPoly([Fraction(c, ints[-1]) for c in ints])
             raise IrrationalResidue(
-                f"no rational root of residual factor {format_upoly(residue)}"
+                "no rational root of the residual factor with integer"
+                f" coefficients {ints}, lowest degree first"
             )
         mult = 0
         while quot is not None:

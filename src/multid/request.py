@@ -1,8 +1,10 @@
 """One request's Groebner counters and wall-time budget.
 
 `collect_stats` opens a request, and `within_request` joins the open one
-or opens one; `check_deadline` is read by every loop that can run long,
-the Weyl product as well as the Groebner core.
+or opens one; the computing functions that `multid` exports wear
+`@within_request()`, so each library call is one request.  `check_deadline`
+is read by every loop that can run long, the Weyl product as well as the
+Groebner core.
 """
 
 from __future__ import annotations

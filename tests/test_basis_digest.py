@@ -28,3 +28,13 @@ def test_digest_flags_a_wrong_answer():
     lines, ok = tool.query_runs(tool.Query("cusp", query.argv, "(s+1)", "none"))
     assert lines == tool.query_runs(query)[0]
     assert not ok
+
+
+def test_no_query_repeats_a_basis_run():
+    # each multiplier ideal of a filtration is computed once per input
+    tool = load_tool()
+    for query in tool.WORKLOADS["filtration_sweep"].queries:
+        lines, ok = tool.query_runs(query)
+        assert ok
+        bases = [line.rsplit(" basis=", 1)[1] for line in lines if " basis=" in line]
+        assert len(set(bases)) == len(bases), query.name

@@ -24,10 +24,12 @@ from multid.groebner import (
     to_ipoly,
     weight_homogenization,
 )
+from multid.multiplier import jumping_coefficients
 from multid.parsing import parse_polynomial
 from multid.pipeline import (
     IdealInput,
     ann_fs_generators,
+    bfunction,
     build_Jf_m,
     compute_If1,
     polynomial_ring,
@@ -601,9 +603,9 @@ def test_minimal_polynomial_steps_count_in_the_request_block():
     assert stats.reductions > 0
 
 
-def test_member_and_minimal_polynomial_open_one_block(monkeypatch):
-    # outside any block, member's basis run and its reduction are one
-    # request, and so is a minimal polynomial
+@pytest.fixture
+def opened(monkeypatch):
+    """One entry per `collect_stats()` block opened while the test runs."""
     opened = []
     real = request.collect_stats
 
@@ -613,6 +615,12 @@ def test_member_and_minimal_polynomial_open_one_block(monkeypatch):
 
     for module in (groebner, request):
         monkeypatch.setattr(module, "collect_stats", counting)
+    return opened
+
+
+def test_member_and_minimal_polynomial_open_one_block(opened):
+    # outside any block, member's basis run and its reduction are one
+    # request, and so is a minimal polynomial
     I = ideal_of(XYZ, "x^2-y", "x^3-z")
     assert member(pol("y^3-z^2"), I)
     assert len(opened) == 1
@@ -621,6 +629,22 @@ def test_member_and_minimal_polynomial_open_one_block(monkeypatch):
     opened.clear()
     x, one = pol("x", ("x",)), WeylElement.one(J.sig)
     assert minimal_polynomial(basis, TermOrder.grevlex(J.sig), x, one) == [0, 0, 1]
+    assert len(opened) == 1
+
+
+def test_public_calls_open_one_block(opened):
+    # outside any block, each exported computing function is one request,
+    # however many Groebner runs and nested public calls it makes
+    cusp = ("x", "y"), ("x^2+y^3",)
+    filt = jumping_coefficients(make_input(*cusp), Fraction(2))
+    assert filt.jumps == tuple(map(Fraction, ("5/6", "1", "11/6", "2")))
+    assert len(opened) == 1
+    opened.clear()
+    assert str(bfunction(make_input(*cusp))) == "(s+5/6)(s+1)(s+7/6)"
+    assert len(opened) == 1
+    opened.clear()
+    I = ideal_of(XYZ, "x^2-y", "x^3-z")
+    assert ideal_equal(I, ideal_of(XYZ, "x^2-y", "x*y-z"))
     assert len(opened) == 1
 
 

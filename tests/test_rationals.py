@@ -1,6 +1,7 @@
 import subprocess
 import sys
 import textwrap
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -22,19 +23,24 @@ def test_rational_serialization_roundtrip():
     assert format_rational(Fraction(4, 2)) == "2"
 
 
-def test_upoly_mul():
-    s_plus_1 = UPoly([1, 1])
-    s_minus_1 = UPoly([-1, 1])
-    assert s_plus_1 * s_minus_1 == UPoly([-1, 0, 1])
-    assert (s_plus_1 * UPoly.zero()).is_zero()
-    assert UPoly([3, 2]) * UPoly([1, 3]) == UPoly([3, 11, 6])
-
-
 def test_upoly_degree_sentinel():
-    assert UPoly.zero().degree == NEG_INFINITY
+    assert UPoly([]).degree == NEG_INFINITY
     assert UPoly([0]).degree == NEG_INFINITY
     assert UPoly([5]).degree == 0
     assert UPoly([0, 0, 1]).degree == 2
+
+
+def test_expand_coefficients():
+    def coeffs(*factors):
+        return FactoredBPoly(factors).expand().coeffs
+
+    assert coeffs() == (1,)
+    assert coeffs((Fraction(1), 1), (Fraction(-1), 1)) == (-1, 0, 1)
+    assert coeffs((Fraction(0), 2)) == (0, 0, 1)
+    # (s + 5/6)(s + 1)^2 = s^3 + 17/6 s^2 + 8/3 s + 5/6
+    assert coeffs((Fraction(-5, 6), 1), (Fraction(-1), 2)) == tuple(
+        map(Fraction, ("5/6", "8/3", "17/6", "1"))
+    )
 
 
 def test_rational_roots_linear():
@@ -94,19 +100,30 @@ def test_rational_roots_large_trailing_coefficient_without_sympy():
 
 
 def test_rational_roots_irrational_residue():
-    with pytest.raises(IrrationalResidue):
+    with pytest.raises(IrrationalResidue, match=r"\[1, 0, 1\]"):
         rational_roots(UPoly([1, 0, 1]))  # s^2 + 1
 
 
 def test_rational_roots_requires_monic():
     with pytest.raises(ValueError):
         rational_roots(UPoly([1, 2]))
+    with pytest.raises(ValueError):
+        rational_roots(UPoly([]))
 
 
 def test_rational_roots_of_product_is_union():
     p = FactoredBPoly(((Fraction(-5, 6), 1), (Fraction(-1), 2)))
     q = FactoredBPoly(((Fraction(-1), 1), (Fraction(-3, 2), 1)))
-    got = dict(rational_roots(p.expand() * q.expand()).factors)
+    # p q, expanded from the merged factorisation; its coefficients are
+    # the convolution of p's and q's
+    merged = Counter(dict(p.factors)) + Counter(dict(q.factors))
+    pq = FactoredBPoly(tuple(merged.items())).expand()
+    a, b = p.expand().coeffs, q.expand().coeffs
+    assert pq.coeffs == tuple(
+        sum(a[i] * b[k - i] for i in range(len(a)) if 0 <= k - i < len(b))
+        for k in range(len(a) + len(b) - 1)
+    )
+    got = dict(rational_roots(pq).factors)
     assert got == {Fraction(-5, 6): 1, Fraction(-1): 3, Fraction(-3, 2): 1}
 
 
